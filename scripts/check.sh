@@ -1,15 +1,21 @@
 #!/usr/bin/env bash
-# Tier-1 verification: full build + ctest, then the real-thread execution
-# layer (exec pool, pooled pace drivers, fault-injected runtime) under
-# ThreadSanitizer, the memory-facing suites under ASan+UBSan, a CLI
-# fault/checkpoint smoke matrix, the seeded chaos sweep, and the
-# merge-provenance ledger / `pclust explain` determinism stage.
+# Tier-1 verification: full build + ctest (once, then three passes at one
+# job per core), then the real-thread execution layer (exec pool, pooled
+# pace drivers, fault-injected runtime) under ThreadSanitizer, the
+# memory-facing suites under ASan+UBSan, a CLI fault/checkpoint smoke
+# matrix, the seeded chaos sweep, and the merge-provenance ledger /
+# `pclust explain` determinism stage.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cmake -B build -S .
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
+
+# parallel-ctest: every test runs as its own process, so tests that share
+# a temp path race each other under a parallel ctest. Three full passes at
+# one job per core must all be green.
+(cd build && ctest --output-on-failure -j"$(nproc)" --repeat until-fail:3)
 
 # Data-race check. Only the thread-touching suites are worth the TSan
 # slowdown: the pool itself, the batched/pooled PaCE paths, and the
@@ -38,12 +44,19 @@ cmake --build build-asan -j --target test_util test_seq test_align \
    --gtest_filter='CheckpointResumeTest*:ResourcePipelineTest*:PipelineProvenance*:ProvenanceResumeTest*')
 
 # simd-matrix: the alignment suites (including the batch bit-identity fuzz
-# tests) must pass at every --simd setting. PCLUST_SIMD is clamped to the
-# host, so on a machine without AVX2 the avx2 leg degenerates to the best
-# available tier rather than failing — the matrix is portable.
+# tests) and every consumer of the shared verification stage (RR, CCD, B_d,
+# provenance replay, checkpointed resume) must pass at every --simd
+# setting. PCLUST_SIMD is clamped to the host, so on a machine without AVX2
+# the avx2 leg degenerates to the best available tier rather than failing
+# — the matrix is portable.
 for simd in off sse2 avx2; do
-  PCLUST_SIMD="$simd" build/tests/test_align >/dev/null \
-    || { echo "test_align failed under PCLUST_SIMD=$simd"; exit 1; }
+  for suite in test_align test_pace test_bigraph; do
+    PCLUST_SIMD="$simd" "build/tests/$suite" >/dev/null \
+      || { echo "$suite failed under PCLUST_SIMD=$simd"; exit 1; }
+  done
+  PCLUST_SIMD="$simd" build/tests/test_pipeline \
+    --gtest_filter='PipelineProvenance*:CheckpointResumeTest*' >/dev/null \
+    || { echo "test_pipeline failed under PCLUST_SIMD=$simd"; exit 1; }
 done
 echo "check.sh: simd-matrix green (off sse2 avx2)"
 

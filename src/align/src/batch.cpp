@@ -53,8 +53,19 @@ struct Chunk {
   std::int64_t band;  // the uniform half-width when banded
 };
 
+/// A sweep costs the same at any fill: about five scalar alignments at
+/// either ISA (BENCH_kernels.json: 3.05x over 16 AVX2 lanes, 1.63x over 8
+/// SSE2 lanes). Chunks with fewer jobs run on the scalar engine instead.
+constexpr std::size_t kMinLaneJobs = 5;
+
 void run_chunk(const Chunk& chunk, const PairJob* jobs,
                const ScoringScheme& scheme, Isa isa, AlignmentResult* out) {
+  if (chunk.count < kMinLaneJobs) {
+    for (std::size_t l = 0; l < chunk.count; ++l) {
+      out[chunk.idx[l]] = scalar_score(jobs[chunk.idx[l]], scheme);
+    }
+    return;
+  }
   LaneJob lanes[16];
   LaneOut louts[16];
   for (std::size_t l = 0; l < chunk.count; ++l) {

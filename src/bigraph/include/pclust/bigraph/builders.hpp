@@ -6,6 +6,8 @@
 //    the "modified PaCE" scheme: maximal-match filtering only (no
 //    transitive-closure clustering — every surviving candidate pair is
 //    verified by alignment, because here the individual edges matter).
+//    Verification runs on the shared PaCE stage (pace::verify_pairs) with
+//    the CCD overlap worker.
 //  - B_m (domain based): left vertices are the w-length words occurring in
 //    >= 2 member sequences; an edge connects a word to every member
 //    containing it.
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "pclust/bigraph/bipartite_graph.hpp"
+#include "pclust/pace/engine.hpp"
 #include "pclust/pace/params.hpp"
 #include "pclust/seq/sequence_set.hpp"
 
@@ -47,10 +50,12 @@ struct BmParams {
   std::uint32_t max_sequences_per_word = 0;    // low-complexity guard
 };
 
-/// Build the global-similarity reduction B_d for one component.
+/// Build the global-similarity reduction B_d for one component; the result
+/// is identical with or without @p pool and at every SIMD tier.
 ComponentGraph build_bd(const seq::SequenceSet& set,
                         const std::vector<seq::SeqId>& members,
-                        const BdParams& params = {});
+                        const BdParams& params = {},
+                        exec::Pool* pool = nullptr);
 
 /// Build the domain-based reduction B_m for one component.
 ComponentGraph build_bm(const seq::SequenceSet& set,

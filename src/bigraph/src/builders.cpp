@@ -1,10 +1,11 @@
 #include "pclust/bigraph/builders.hpp"
 
-#include <algorithm>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "pclust/align/predicates.hpp"
+#include "pclust/pace/components.hpp"
+#include "pclust/pace/engine.hpp"
 #include "pclust/suffix/kmer_index.hpp"
 #include "pclust/suffix/lcp.hpp"
 #include "pclust/suffix/maximal_match.hpp"
@@ -13,16 +14,46 @@
 
 namespace pclust::bigraph {
 
+namespace {
+
+/// B_d's master: no cluster filter (the individual edges matter); each
+/// accepted overlap becomes the edge pair (i,j), (j,i).
+class BdMaster final : public pace::MasterPolicy {
+ public:
+  explicit BdMaster(const std::vector<seq::SeqId>& members) {
+    dense_.reserve(members.size());
+    for (std::uint32_t i = 0; i < members.size(); ++i) dense_[members[i]] = i;
+  }
+
+  bool needs_alignment(const pace::PairTask& /*task*/) override {
+    return true;
+  }
+
+  void apply(const pace::Verdict& v) override {
+    if (v.code != 1) return;
+    const std::uint32_t i = dense_.at(v.a);
+    const std::uint32_t j = dense_.at(v.b);
+    edges.push_back(Edge{i, j});
+    edges.push_back(Edge{j, i});
+  }
+
+  std::vector<Edge> edges;
+
+ private:
+  std::unordered_map<seq::SeqId, std::uint32_t> dense_;
+};
+
+/// B_d verdicts never filter later pairs: batch for lane fill and the pool.
+constexpr std::size_t kBdBatch = 4096;
+
+}  // namespace
+
 ComponentGraph build_bd(const seq::SequenceSet& set,
                         const std::vector<seq::SeqId>& members,
-                        const BdParams& params) {
+                        const BdParams& params, exec::Pool* pool) {
   ComponentGraph out;
   out.reduction = Reduction::kDuplicate;
   out.members = members;
-
-  std::unordered_map<seq::SeqId, std::uint32_t> dense;
-  dense.reserve(members.size());
-  for (std::uint32_t i = 0; i < members.size(); ++i) dense[members[i]] = i;
 
   const pace::PaceParams& pp = params.pace;
   const suffix::ConcatText text(set, members);
@@ -34,40 +65,32 @@ ComponentGraph build_bd(const seq::SequenceSet& set,
   mp.max_node_occurrences = pp.max_node_occurrences;
   const suffix::MaximalMatchEnumerator enumerator(text, sa, lcp, mp);
 
-  // One alignment per candidate pair: keep the longest maximal match per
-  // pair as the banded-alignment seed (pairs arrive longest-first).
-  std::unordered_set<std::uint64_t> seen;
-  std::vector<Edge> edges;
+  // One alignment per candidate pair: the first maximal match seen for a
+  // pair (pairs arrive longest-first) is its banded-alignment seed.
+  std::vector<pace::PairTask> pairs;
   if (!sa.empty()) {
-    enumerator.enumerate(
-        0, static_cast<std::int32_t>(sa.size()) - 1,
-        [&](const suffix::MaximalMatch& m) {
-          ++out.candidate_pairs;
-          const std::uint64_t key =
-              (static_cast<std::uint64_t>(m.a) << 32) | m.b;
-          if (!seen.insert(key).second) return true;
-          ++out.aligned_pairs;
-          const auto res_a = set.residues(m.a);
-          const auto res_b = set.residues(m.b);
-          const align::PredicateOutcome res =
-              pp.band > 0 ? align::test_overlap_banded(
-                                res_a, res_b, pp.scheme(), m.diagonal(),
-                                pp.band, pp.overlap)
-                          : align::test_overlap(res_a, res_b, pp.scheme(),
-                                                pp.overlap);
-          out.alignment_cells += res.alignment.cells;
-          if (res.accepted) {
-            const std::uint32_t i = dense.at(m.a);
-            const std::uint32_t j = dense.at(m.b);
-            edges.push_back(Edge{i, j});
-            edges.push_back(Edge{j, i});
-          }
-          return true;
-        });
+    std::unordered_set<std::uint64_t> seen;
+    enumerator.enumerate(0, static_cast<std::int32_t>(sa.size()) - 1,
+                         [&](const suffix::MaximalMatch& m) {
+                           ++out.candidate_pairs;
+                           const pace::PairTask t{m.a, m.b, m.a_pos, m.b_pos,
+                                                  m.length};
+                           if (seen.insert(t.pair_key()).second) {
+                             pairs.push_back(t);
+                           }
+                           return true;
+                         });
   }
+  BdMaster master(members);
+  const std::unique_ptr<pace::WorkerPolicy> worker =
+      pace::make_overlap_worker(set, pp);
+  const pace::EngineCounters verified =
+      pace::verify_pairs(pairs, kBdBatch, master, *worker, pool);
+  out.aligned_pairs = verified.aligned_pairs;
+  out.alignment_cells = verified.alignment_cells;
   out.graph = BipartiteGraph(static_cast<std::uint32_t>(members.size()),
                              static_cast<std::uint32_t>(members.size()),
-                             std::move(edges));
+                             std::move(master.edges));
   util::record_memory(out.graph.memory_usage(), "bgg");
   return out;
 }

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "pclust/mpsim/runtime.hpp"
@@ -53,13 +54,13 @@ struct CcdProgress {
   std::uint64_t next_pair = 0;
 };
 
-/// Serial driver with identical semantics. With a pool, verdicts are
-/// batched onto real threads; the final component partition is identical to
-/// the pure serial run.
+/// Serial driver with identical semantics, on the shared verification
+/// stage (engine.hpp verify_pairs) with lag-free admission: partition,
+/// engine counters and merge order are identical at every pool size.
 /// @p resume (optional) restores union–find state from a CcdProgress
 /// snapshot and skips the already-folded prefix of the pair stream;
 /// @p checkpoint_stride > 0 invokes @p on_checkpoint with a fresh snapshot
-/// roughly every that many pairs. The resumed partition is bit-identical
+/// every that many pairs. The resumed partition is bit-identical
 /// to an uninterrupted run.
 /// @p on_merge (optional) is the merge-provenance recorder: invoked exactly
 /// once per SURVIVING union–find merge, with the accepting verdict, in the
@@ -73,5 +74,18 @@ ComponentsResult detect_components_serial(
     const CcdProgress* resume = nullptr, std::uint64_t checkpoint_stride = 0,
     const std::function<void(const CcdProgress&)>& on_checkpoint = nullptr,
     const std::function<void(const Verdict&)>& on_merge = nullptr);
+
+/// The CCD overlap worker (SIMD-batched overlap alignment), shared by CCD,
+/// B_d and the provenance replay. @p set and @p params must outlive it.
+[[nodiscard]] std::unique_ptr<WorkerPolicy> make_overlap_worker(
+    const seq::SequenceSet& set, const PaceParams& params);
+
+/// The CCD master of the provenance replay: a fresh union-find over @p ids,
+/// a provable-reject filter for pairs straddling two final @p components,
+/// and @p on_merge fired once per surviving merge. Publishes no metrics.
+[[nodiscard]] std::unique_ptr<MasterPolicy> make_ccd_replay_master(
+    const std::vector<seq::SeqId>& ids,
+    const std::vector<std::vector<seq::SeqId>>& components,
+    std::function<void(const Verdict&)> on_merge);
 
 }  // namespace pclust::pace

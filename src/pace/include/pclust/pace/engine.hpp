@@ -39,10 +39,12 @@
 //
 // The same policy objects drive a serial (p = 1) path that produces the
 // same final state, used as the test reference and by callers without a
-// simulated machine. The serial path can checkpoint its progress and
-// resume mid-stream (SerialHooks).
+// simulated machine. Its pair loop (verify_pairs) is also the verification
+// stage of B_d and of the CCD provenance replay. The serial path can
+// checkpoint its progress and resume mid-stream (SerialHooks).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -119,6 +121,16 @@ class MasterPolicy {
   /// done by the engine before this is consulted).
   virtual bool needs_alignment(const PairTask& task) = 0;
   virtual void apply(const Verdict& verdict) = 0;
+  /// Lag-free batching (verify_pairs): @p task passed needs_alignment()
+  /// while @p pending admitted pairs still await their verdicts (0 = a
+  /// fresh batch). Return false if a pending verdict could still filter
+  /// it: the stage then applies the batch and filters it again. Otherwise
+  /// record it as pending and return true. The default (lagging admission)
+  /// requires the extra verdicts it admits to be no-ops under apply().
+  virtual bool admit_pending(const PairTask& /*task*/,
+                             std::size_t /*pending*/) {
+    return true;
+  }
   /// Build one sub-master shard replica (hierarchical mode; called once per
   /// sub-master rank). Policies that return nullptr — the default — are
   /// order-dependent and only support the flat single master
@@ -128,30 +140,20 @@ class MasterPolicy {
   virtual std::unique_ptr<ShardPolicy> make_shard() { return nullptr; }
 };
 
-/// Worker-side policy: computes the verdict for one pair. evaluate() may be
-/// called CONCURRENTLY from pool threads on the same policy object, so
-/// implementations must be stateless apart from read-only captures.
+/// Worker-side policy: computes verdicts for a batch of independent pairs.
+/// evaluate_batch() may be called CONCURRENTLY from pool threads on the
+/// same policy object, so implementations must be stateless apart from
+/// read-only captures.
 class WorkerPolicy {
  public:
   virtual ~WorkerPolicy() = default;
-  /// Evaluate the pair; implementations accumulate the DP cells computed
-  /// into @p cells (may be null). The engine folds the counts into the
-  /// virtual clock serially, in task order, so pooled evaluation leaves the
-  /// simulated timing deterministic.
-  virtual Verdict evaluate(const PairTask& task, std::uint64_t* cells) = 0;
-
   /// Evaluate @p count independent pairs, writing verdicts[k] for tasks[k]
   /// and accumulating each pair's DP cells into cells[k] (cells may be
-  /// null). Verdicts and per-pair cell counts must be bit-identical to
-  /// count calls of evaluate() — the default does exactly that — but
-  /// implementations may batch the underlying alignments into SIMD lanes
-  /// (align_score_batch). Same concurrency contract as evaluate().
+  /// null), bit-identical to aligning each pair alone (align_score_batch).
+  /// The engine folds the counts into the virtual clock serially, in task
+  /// order, so pooled evaluation leaves the simulated timing deterministic.
   virtual void evaluate_batch(const PairTask* tasks, std::size_t count,
-                              Verdict* verdicts, std::uint64_t* cells) {
-    for (std::size_t k = 0; k < count; ++k) {
-      verdicts[k] = evaluate(tasks[k], cells ? cells + k : nullptr);
-    }
-  }
+                              Verdict* verdicts, std::uint64_t* cells) = 0;
 };
 
 struct EngineCounters {
@@ -159,6 +161,7 @@ struct EngineCounters {
   std::uint64_t duplicate_pairs = 0;   // dropped by the master's seen-set
   std::uint64_t filtered_pairs = 0;    // dropped by the policy filter
   std::uint64_t aligned_pairs = 0;     // dispatched for alignment
+  std::uint64_t alignment_cells = 0;   // of those alignments (serial only)
 };
 
 /// Run the engine on p >= 2 simulated ranks. @p make_worker_policy is
@@ -187,10 +190,9 @@ mpsim::RunResult run_parallel(
     EngineCounters* counters = nullptr, exec::Pool* pool = nullptr,
     const mpsim::FaultPlan* plan = nullptr);
 
-/// Mid-stream checkpoint hooks for run_serial. The pair stream is the
-/// deterministic global order (decreasing match length), so a stream index
-/// is a complete progress watermark: pairs [0, next_pair) have been fully
-/// folded into the master policy when checkpoint(next_pair) fires.
+/// Mid-stream hooks for verify_pairs. The pair stream is deterministic, so
+/// a stream index is a complete progress watermark: pairs [0, next_pair)
+/// are fully folded into the master policy when checkpoint(next_pair) fires.
 struct SerialHooks {
   /// Resume: skip pairs [0, start_pair) — the caller restored master-policy
   /// state from a checkpoint taken at this watermark. The duplicate seen-set
@@ -198,21 +200,31 @@ struct SerialHooks {
   /// whose application is a no-op, so the final state is unaffected (pair
   /// COUNTS cover the resumed segment only).
   std::uint64_t start_pair = 0;
-  /// Call @p checkpoint roughly every this many pairs (0 = never). In
-  /// pooled mode checkpoints land on batch-flush boundaries.
+  /// Call @p checkpoint every this many pairs (0 = never).
   std::uint64_t checkpoint_stride = 0;
   /// Invoked with the watermark; the callee snapshots master-policy state.
   std::function<void(std::uint64_t next_pair)> checkpoint;
+  /// Invoked with the pairs inspected so far (pending ones included) at
+  /// batch-size flushes, checkpoints and every 1024 pairs.
+  std::function<void(std::uint64_t next_pair)> progress;
 };
 
-/// Serial driver: identical pair stream (global decreasing match length),
-/// identical filtering and verdict application. Returns engine counters.
-/// With a pool (> 1 lane), verdicts are computed in batches of
-/// params.batch_size on pool threads and applied in task order: the final
-/// policy STATE is identical to the pure serial run (a batched pair whose
-/// filter outcome would have changed mid-batch yields a verdict whose
-/// application is a no-op), though filtered/aligned pair COUNTS may differ,
-/// exactly as they do for the round-based parallel engine.
+/// The verification stage of RR, CCD, B_d and the CCD provenance replay:
+/// walk @p pairs in order, drop repeats (the first occurrence wins and
+/// fixes the band seed) and filtered pairs, and align the rest in batches
+/// of up to @p batch_size via evaluate_batch; verdicts apply in stream
+/// order. With admit_pending, counters and decisions equal the one-pair-
+/// at-a-time walk at any pool and batch size. Publishes no metrics.
+EngineCounters verify_pairs(const std::vector<PairTask>& pairs,
+                            std::size_t batch_size,
+                            MasterPolicy& master_policy,
+                            WorkerPolicy& worker_policy,
+                            exec::Pool* pool = nullptr,
+                            const SerialHooks* hooks = nullptr);
+
+/// Serial driver: verify_pairs over canonical_pairs(set, ids), publishing
+/// the pace.* engine counters and telemetry progress. RR admits lagging
+/// pairs whose verdicts are no-op applies, like the parallel engine.
 EngineCounters run_serial(const seq::SequenceSet& set,
                           const std::vector<seq::SeqId>& ids,
                           const PaceParams& params,

@@ -13,18 +13,18 @@
 //     at the moment uf_.merge succeeds; zero extra alignments. Valid only
 //     for a from-scratch serial run.
 //   * canonical replay (derive_ccd_provenance) — for parallel,
-//     hierarchical, faulted, or resumed runs: walk the canonical pair
-//     stream against a fresh union-find, skip duplicates and
-//     already-connected pairs, skip (WITHOUT aligning) pairs whose
+//     hierarchical, faulted, or resumed runs: run_serial's verification
+//     stage over the canonical pair stream with the CCD overlap worker and
+//     a replay master (components.hpp make_ccd_replay_master): a fresh
+//     union-find, plus a filter that skips WITHOUT aligning pairs whose
 //     endpoints end in different final components (an accepted overlap
-//     would have merged them — provably rejected), realign the rest
-//     exactly like the CCD worker, and emit an edge per accepting merge.
+//     would have merged them — provably rejected), and an edge per
+//     accepting merge.
 //
 // Replay equals capture by induction on the stream position: both walk
-// the same pairs in the same order, and at every position the replay
-// union-find equals the serial master's apply-time forest (batched/pooled
-// runs admit extra lagging pairs, but their verdicts apply as no-op
-// merges, which neither path records). See DESIGN.md §16.
+// the same pairs in the same order through the same lag-free stage, and at
+// every position the replay union-find equals the serial master's forest.
+// See DESIGN.md §16.
 //
 // RR provenance is derived post hoc: the removal chain guard ("a sequence
 // is removed only if its container is itself still present") makes
@@ -61,8 +61,9 @@ namespace pclust::pace {
 /// components is the FINAL partition over @p ids (any order); it gates
 /// the provable-reject fast path and is what makes the replay a pure
 /// function of the final result rather than of the schedule. A pool
-/// parallelizes index construction only — the edge list is bit-identical
-/// without one.
+/// parallelizes index construction and the alignments — the edge list is
+/// bit-identical without one. Counts its alignments into
+/// prov.ccd_replay_alignments, never into the CCD phase's counters.
 [[nodiscard]] std::vector<prov::Edge> derive_ccd_provenance(
     const seq::SequenceSet& set, const std::vector<seq::SeqId>& ids,
     const PaceParams& params,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -15,71 +16,77 @@ namespace pclust::pace {
 
 namespace {
 
-class CcdMaster;
-
-/// One sub-master's replica of the CCD state: its own union–find over the
-/// same dense id universe, fed by the shard's verdicts plus the root's
-/// synced events. Union–find merge is confluent AND idempotent, so shard
-/// replicas may lag or replay events in any order and still converge to
-/// (a refinement consistent with) the root's authoritative forest —
-/// a replica only ever filters pairs its shard has PROVEN connected,
-/// which keeps filtering sound while cross-shard merges are in flight.
-class CcdShard final : public ShardPolicy {
+/// The CCD master, and (as a ShardPolicy) one sub-master's replica of it
+/// in hierarchical mode.
+class CcdMaster final : public MasterPolicy, public ShardPolicy {
  public:
-  CcdShard(const std::unordered_map<seq::SeqId, std::uint32_t>& dense,
-           std::size_t universe)
-      : dense_(dense) {
-    uf_.reset(universe);
-  }
-
-  bool needs_alignment(const PairTask& task) override {
-    return !uf_.same(dense_.at(task.a), dense_.at(task.b));
-  }
-
-  bool absorb(const Verdict& v) override {
-    return v.code == 1 && uf_.merge(dense_.at(v.a), dense_.at(v.b));
-  }
-
- private:
-  const std::unordered_map<seq::SeqId, std::uint32_t>& dense_;
-  dsu::UnionFind uf_;
-};
-
-class CcdMaster final : public MasterPolicy {
- public:
-  explicit CcdMaster(const std::vector<seq::SeqId>& ids) : ids_(ids) {
+  /// @p on_merge (optional) is the merge-provenance recorder: fired exactly
+  /// once per SURVIVING union–find merge, at the moment of decision, with
+  /// the verdict that caused it. Sound for the serial driver (one
+  /// authoritative state, in stream order, lag-free at any pool size); the
+  /// parallel/hierarchical engines instead derive provenance by canonical
+  /// replay (pace/provenance.hpp). With @p final_components this is that
+  /// replay's master (make_ccd_replay_master).
+  explicit CcdMaster(
+      const std::vector<seq::SeqId>& ids,
+      std::function<void(const Verdict&)> on_merge = nullptr,
+      const std::vector<std::vector<seq::SeqId>>* final_components = nullptr)
+      : ids_(ids), on_merge_(std::move(on_merge)) {
     dense_.reserve(ids.size());
     for (std::uint32_t i = 0; i < ids.size(); ++i) dense_[ids[i]] = i;
     uf_.reset(ids.size());
-  }
-
-  bool needs_alignment(const PairTask& task) override {
-    return !uf_.same(dense_.at(task.a), dense_.at(task.b));
-  }
-
-  void apply(const Verdict& v) override {
-    if (v.code == 1 && uf_.merge(dense_.at(v.a), dense_.at(v.b))) {
-      util::metrics().counter("ccd.uf_merges").add(1);
-      if (on_merge_) on_merge_(v);
+    if (!final_components) return;
+    final_.reset(ids.size());
+    for (const auto& component : *final_components) {
+      for (const seq::SeqId member : component) {
+        const auto it = dense_.find(member);
+        if (it == dense_.end()) {
+          throw std::invalid_argument(
+              "derive_ccd_provenance: component member is not in the id set");
+        }
+        final_.merge(dense_.at(component.front()), it->second);
+      }
     }
   }
 
-  /// Merge-provenance recorder: fired exactly once per SURVIVING union—find
-  /// merge, at the moment of decision, with the verdict that caused it.
-  /// Sound for the serial driver (one authoritative state, in stream
-  /// order); the parallel/hierarchical engines instead derive provenance
-  /// by canonical replay (pace/provenance.hpp).
-  void set_merge_recorder(std::function<void(const Verdict&)> recorder) {
-    on_merge_ = std::move(recorder);
+  bool needs_alignment(const PairTask& task) override {
+    const std::uint32_t da = dense_.at(task.a);
+    const std::uint32_t db = dense_.at(task.b);
+    // Provable reject (replay): the final partition is the transitive
+    // closure of accepted overlaps, so a pair straddling two final
+    // components was necessarily rejected — skip it without aligning.
+    if (replay() && !final_.same(da, db)) return false;
+    return !uf_.same(da, db);
+  }
+
+  /// Lag-free: a pair linked only through pending merges must wait.
+  bool admit_pending(const PairTask& task, std::size_t pending) override {
+    if (pending == 0) pending_.clear();
+    const std::uint32_t ra = pending_root(dense_.at(task.a));
+    const std::uint32_t rb = pending_root(dense_.at(task.b));
+    if (ra == rb) return false;
+    pending_[ra] = rb;
+    return true;
+  }
+
+  void apply(const Verdict& v) override {
+    if (!absorb(v)) return;
+    if (!replay()) util::metrics().counter("ccd.uf_merges").add(1);
+    if (on_merge_) on_merge_(v);
   }
 
   /// CCD supports hierarchical masters: apply is a union–find merge —
   /// confluent and idempotent — so shard replicas and root event replay
-  /// are sound. Shards share the read-only dense_ map (the root's apply
-  /// only mutates uf_, a different member, so concurrent shard reads of
-  /// dense_ are race-free).
+  /// are sound. Each replica is a CcdMaster of its own over the same ids.
   std::unique_ptr<ShardPolicy> make_shard() override {
-    return std::make_unique<CcdShard>(dense_, ids_.size());
+    return std::make_unique<CcdMaster>(ids_);
+  }
+
+  /// Replica side: fold a shard or synced verdict; true iff uf_ changed.
+  /// Replicas may lag or replay events in any order and still converge; a
+  /// replica only filters pairs its shard has PROVEN connected.
+  bool absorb(const Verdict& v) override {
+    return v.code == 1 && uf_.merge(dense_.at(v.a), dense_.at(v.b));
   }
 
   /// Snapshot the union–find forest for checkpointing.
@@ -123,9 +130,22 @@ class CcdMaster final : public MasterPolicy {
   }
 
  private:
+  [[nodiscard]] bool replay() const { return final_.size() > 0; }
+
+  [[nodiscard]] std::uint32_t pending_root(std::uint32_t x) const {
+    x = uf_.find(x);
+    for (auto it = pending_.find(x); it != pending_.end();) {
+      x = it->second;
+      it = pending_.find(x);
+    }
+    return x;
+  }
+
   const std::vector<seq::SeqId>& ids_;
   std::unordered_map<seq::SeqId, std::uint32_t> dense_;
   dsu::UnionFind uf_;
+  std::unordered_map<std::uint32_t, std::uint32_t> pending_;  // uf_ roots
+  dsu::UnionFind final_;  // the finished partition (replay only)
   std::function<void(const Verdict&)> on_merge_;
 };
 
@@ -134,21 +154,7 @@ class CcdWorker final : public WorkerPolicy {
   CcdWorker(const seq::SequenceSet& set, const PaceParams& params)
       : set_(set), params_(params) {}
 
-  Verdict evaluate(const PairTask& task, std::uint64_t* cells) override {
-    const auto a = set_.residues(task.a);
-    const auto b = set_.residues(task.b);
-    const align::PredicateOutcome out =
-        params_.band > 0
-            ? align::test_overlap_banded(a, b, params_.scheme(),
-                                         task.diagonal(), params_.band,
-                                         params_.overlap)
-            : align::test_overlap(a, b, params_.scheme(), params_.overlap);
-    if (cells) *cells += out.alignment.cells;
-    return make_verdict(task, out);
-  }
-
-  /// Batched form: one overlap alignment per task, packed into SIMD lanes
-  /// by the pair-batch engine. Bit-identical to per-pair evaluate().
+  /// One overlap alignment per task, packed into SIMD lanes.
   void evaluate_batch(const PairTask* tasks, std::size_t count,
                       Verdict* verdicts, std::uint64_t* cells) override {
     const std::int64_t band =
@@ -166,31 +172,33 @@ class CcdWorker final : public WorkerPolicy {
     for (std::size_t k = 0; k < count; ++k) {
       const align::PredicateOutcome out = align::overlap_outcome(
           results[k], jobs[k].a.size(), jobs[k].b.size(), params_.overlap);
-      if (cells) cells[k] += out.alignment.cells;
-      verdicts[k] = make_verdict(tasks[k], out);
+      const align::AlignmentResult& r = out.alignment;
+      if (cells) cells[k] += r.cells;
+      verdicts[k] = Verdict{tasks[k].a, tasks[k].b,
+                            static_cast<std::uint8_t>(out.accepted ? 1 : 0),
+                            r.score, r.matches, r.columns,
+                            r.a_end - r.a_begin, r.b_end - r.b_begin};
     }
   }
 
  private:
-  static Verdict make_verdict(const PairTask& task,
-                              const align::PredicateOutcome& out) {
-    Verdict v;
-    v.a = task.a;
-    v.b = task.b;
-    v.code = static_cast<std::uint8_t>(out.accepted ? 1 : 0);
-    v.score = out.alignment.score;
-    v.matches = out.alignment.matches;
-    v.columns = out.alignment.columns;
-    v.a_span = out.alignment.a_end - out.alignment.a_begin;
-    v.b_span = out.alignment.b_end - out.alignment.b_begin;
-    return v;
-  }
-
   const seq::SequenceSet& set_;
   const PaceParams& params_;
 };
 
 }  // namespace
+
+std::unique_ptr<WorkerPolicy> make_overlap_worker(const seq::SequenceSet& set,
+                                                  const PaceParams& params) {
+  return std::make_unique<CcdWorker>(set, params);
+}
+
+std::unique_ptr<MasterPolicy> make_ccd_replay_master(
+    const std::vector<seq::SeqId>& ids,
+    const std::vector<std::vector<seq::SeqId>>& components,
+    std::function<void(const Verdict&)> on_merge) {
+  return std::make_unique<CcdMaster>(ids, std::move(on_merge), &components);
+}
 
 std::size_t ComponentsResult::count_with_min_size(std::size_t min_size) const {
   std::size_t n = 0;
@@ -230,25 +238,21 @@ ComponentsResult detect_components_serial(
     const std::function<void(const CcdProgress&)>& on_checkpoint,
     const std::function<void(const Verdict&)>& on_merge) {
   ComponentsResult result;
-  CcdMaster master(ids);
+  CcdMaster master(ids, on_merge);
   CcdWorker worker(set, params);
-  if (on_merge) master.set_merge_recorder(on_merge);
 
   SerialHooks hooks;
+  hooks.checkpoint_stride = checkpoint_stride;  // ignored without a callee
   if (resume) {
     master.restore(resume->parents);
     hooks.start_pair = resume->next_pair;
   }
-  if (checkpoint_stride > 0 && on_checkpoint) {
-    hooks.checkpoint_stride = checkpoint_stride;
+  if (on_checkpoint) {
     hooks.checkpoint = [&](std::uint64_t next_pair) {
       on_checkpoint(CcdProgress{master.parents(), next_pair});
     };
   }
-  const bool use_hooks = resume || hooks.checkpoint;
-
-  result.counters = run_serial(set, ids, params, master, worker, pool,
-                               use_hooks ? &hooks : nullptr);
+  result.counters = run_serial(set, ids, params, master, worker, pool, &hooks);
   master.record_memory(params.phase_label);
   result.components = master.components();
   return result;

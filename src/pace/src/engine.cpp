@@ -206,18 +206,20 @@ constexpr std::size_t kEvalGrain = 128;
 /// index-addressed slots and cell charges are folded into @p comm serially
 /// in task order, so both the results and the virtual clock are independent
 /// of pool scheduling. Policies are invoked concurrently (see WorkerPolicy).
-void evaluate_tasks(const std::vector<PairTask>& tasks, WorkerPolicy& policy,
-                    mpsim::Communicator* comm, exec::Pool* pool,
-                    std::vector<Verdict>& verdicts) {
+/// Returns the chunk's DP cells.
+std::uint64_t evaluate_tasks(const std::vector<PairTask>& tasks,
+                             WorkerPolicy& policy, mpsim::Communicator* comm,
+                             exec::Pool* pool, std::vector<Verdict>& verdicts) {
   const std::size_t n = tasks.size();
   const std::size_t base = verdicts.size();
   verdicts.resize(base + n);
   std::vector<std::uint64_t> cells(n, 0);
-  if (pool && pool->size() > 1 && n > 1) {
-    // Grain only sizes the pooled slices; verdict slots are index-addressed,
-    // so the governor shrinking it under memory pressure cannot change the
-    // output — only the transient footprint of in-flight batch scratch.
-    const std::size_t grain = util::governor().recommend_grain(kEvalGrain);
+  // Grain only sizes the pooled slices; verdict slots are index-addressed,
+  // so the governor shrinking it under memory pressure cannot change the
+  // output — only the transient footprint of in-flight batch scratch. One
+  // grain or less runs inline: waking the pool would cost more than it saves.
+  const std::size_t grain = util::governor().recommend_grain(kEvalGrain);
+  if (pool && pool->size() > 1 && n > grain) {
     pool->for_range(n, grain, [&](std::size_t lo, std::size_t hi) {
       policy.evaluate_batch(tasks.data() + lo, hi - lo,
                             verdicts.data() + base + lo, cells.data() + lo);
@@ -226,12 +228,31 @@ void evaluate_tasks(const std::vector<PairTask>& tasks, WorkerPolicy& policy,
     policy.evaluate_batch(tasks.data(), n, verdicts.data() + base,
                           cells.data());
   }
-  if (comm) {
-    for (std::size_t k = 0; k < n; ++k) {
+  std::uint64_t total = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    total += cells[k];
+    if (comm) {
       comm->charge_cells(cells[k]);
       comm->count("alignments_computed");
     }
   }
+  return total;
+}
+
+/// One (sub-)master's protocol stats as engine counters: rank counters
+/// (summed across ranks in the RunResult) plus the metrics registry.
+void publish_master_stats(mpsim::Communicator& comm,
+                          const mpsim::MwMasterStats& stats) {
+  EngineCounters c;
+  c.promising_pairs = stats.submitted;
+  c.duplicate_pairs = stats.duplicates;
+  c.filtered_pairs = stats.filtered;
+  c.aligned_pairs = stats.dispatched;
+  comm.count("promising_pairs", c.promising_pairs);
+  comm.count("duplicate_pairs", c.duplicate_pairs);
+  comm.count("filtered_pairs", c.filtered_pairs);
+  comm.count("aligned_pairs", c.aligned_pairs);
+  record_engine_counters(c);
 }
 
 /// The pace master on the shared protocol: the admit hook owns the
@@ -250,19 +271,7 @@ void master_loop(mpsim::Communicator& comm, const PaceParams& params,
   };
   hooks.apply = [&](const Verdict& v) { policy.apply(v); };
 
-  const mpsim::MwMasterStats stats =
-      mw_master_loop(comm, mw_options(params), hooks);
-
-  EngineCounters c;
-  c.promising_pairs = stats.submitted;
-  c.duplicate_pairs = stats.duplicates;
-  c.filtered_pairs = stats.filtered;
-  c.aligned_pairs = stats.dispatched;
-  comm.count("promising_pairs", c.promising_pairs);
-  comm.count("duplicate_pairs", c.duplicate_pairs);
-  comm.count("filtered_pairs", c.filtered_pairs);
-  comm.count("aligned_pairs", c.aligned_pairs);
-  record_engine_counters(c);
+  publish_master_stats(comm, mw_master_loop(comm, mw_options(params), hooks));
 }
 
 /// One pace sub-master (hierarchical mode): the full resilient master
@@ -289,19 +298,7 @@ void submaster_loop(mpsim::Communicator& comm, const PaceParams& params,
 
   const mpsim::MwOptions opt = mw_options(params);
   const mpsim::MwTopology topo{comm.size(), opt.masters};
-  const mpsim::MwMasterStats stats =
-      mw_submaster_loop(comm, opt, topo, hooks);
-
-  EngineCounters c;
-  c.promising_pairs = stats.submitted;
-  c.duplicate_pairs = stats.duplicates;
-  c.filtered_pairs = stats.filtered;
-  c.aligned_pairs = stats.dispatched;
-  comm.count("promising_pairs", c.promising_pairs);
-  comm.count("duplicate_pairs", c.duplicate_pairs);
-  comm.count("filtered_pairs", c.filtered_pairs);
-  comm.count("aligned_pairs", c.aligned_pairs);
-  record_engine_counters(c);
+  publish_master_stats(comm, mw_submaster_loop(comm, opt, topo, hooks));
 }
 
 /// The pace root (hierarchical mode): folds the forwarded union events
@@ -409,109 +406,101 @@ std::vector<PairTask> canonical_pairs(const seq::SequenceSet& set,
   return index.worker_pairs(1);
 }
 
+EngineCounters verify_pairs(const std::vector<PairTask>& pairs,
+                            std::size_t batch_size,
+                            MasterPolicy& master_policy,
+                            WorkerPolicy& worker_policy, exec::Pool* pool,
+                            const SerialHooks* hooks) {
+  const std::uint64_t start = hooks ? hooks->start_pair : 0;
+  const std::uint64_t stride =
+      hooks && hooks->checkpoint ? hooks->checkpoint_stride : 0;
+  const auto progress = [&](std::uint64_t next_pair) {
+    if (hooks && hooks->progress) hooks->progress(next_pair);
+  };
+
+  EngineCounters c;
+  std::unordered_set<std::uint64_t> seen;
+  std::vector<PairTask> batch;
+  std::vector<Verdict> verdicts;
+  const auto flush = [&] {
+    if (batch.empty()) return;
+    verdicts.clear();
+    c.alignment_cells +=
+        evaluate_tasks(batch, worker_policy, nullptr, pool, verdicts);
+    for (const Verdict& v : verdicts) master_policy.apply(v);
+    batch.clear();
+  };
+  const auto admit = [&](const PairTask& task) {
+    if (!master_policy.needs_alignment(task)) return false;
+    if (master_policy.admit_pending(task, batch.size())) return true;
+    flush();
+    return master_policy.needs_alignment(task) &&
+           master_policy.admit_pending(task, 0);
+  };
+
+  std::uint64_t last_ckpt = start;
+  for (std::uint64_t i = start; i < pairs.size(); ++i) {
+    if ((i & 1023u) == 0) progress(i);  // filtered streaks count
+    const PairTask& task = pairs[static_cast<std::size_t>(i)];
+    ++c.promising_pairs;
+    bool full = false;
+    if (!seen.insert(task.pair_key()).second) {
+      ++c.duplicate_pairs;
+    } else if (!admit(task)) {
+      ++c.filtered_pairs;
+    } else {
+      ++c.aligned_pairs;
+      batch.push_back(task);
+      // Flush threshold, not grouping: verdicts apply in task order at any
+      // batch size, so the governor shrinking the batch under memory
+      // pressure trades throughput for footprint only.
+      full = batch.size() >= util::governor().recommend_batch(batch_size);
+    }
+    const bool checkpoint_due = stride > 0 && i + 1 - last_ckpt >= stride;
+    if (full || checkpoint_due) {
+      flush();
+      progress(i + 1);
+    }
+    if (checkpoint_due) {
+      hooks->checkpoint(i + 1);
+      last_ckpt = i + 1;
+    }
+  }
+  flush();
+  progress(pairs.size());
+  return c;
+}
+
 EngineCounters run_serial(const seq::SequenceSet& set,
                           const std::vector<seq::SeqId>& ids,
                           const PaceParams& params,
                           MasterPolicy& master_policy,
                           WorkerPolicy& worker_policy, exec::Pool* pool,
                           const SerialHooks* hooks) {
+  // The index stays alive (and charged to the memory governor) for the
+  // whole phase, as it does on the parallel path.
   SharedIndex index(set, ids, params, /*workers=*/1, pool);
   const std::vector<PairTask> pairs = index.worker_pairs(1);
-
-  const std::uint64_t start = hooks ? hooks->start_pair : 0;
-  const std::uint64_t stride =
-      hooks && hooks->checkpoint ? hooks->checkpoint_stride : 0;
-  std::uint64_t last_ckpt = start;
-  const auto maybe_checkpoint = [&](std::uint64_t next_pair) {
-    if (stride == 0 || next_pair - last_ckpt < stride) return;
-    hooks->checkpoint(next_pair);
-    last_ckpt = next_pair;
-  };
 
   // Telemetry: serial progress is pairs INSPECTED over the full stream
   // (dup/filtered pairs advance it too), reported at batch granularity so
   // the per-pair cost stays one relaxed load. poll_deadline() runs on this
   // (the orchestrating) thread — the only place the watchdog may throw.
-  if (pairs.size() > start) {
-    util::telemetry::progress_enqueued(pairs.size() - start);
+  SerialHooks observed = hooks ? *hooks : SerialHooks{};
+  if (pairs.size() > observed.start_pair) {
+    util::telemetry::progress_enqueued(pairs.size() - observed.start_pair);
   }
-  std::uint64_t reported = start;
-  const auto report_progress = [&](std::uint64_t next_pair) {
+  std::uint64_t reported = observed.start_pair;
+  observed.progress = [&reported](std::uint64_t next_pair) {
     if (next_pair <= reported) return;
     util::telemetry::progress_done(next_pair - reported);
     reported = next_pair;
     util::telemetry::poll_deadline();
   };
 
-  EngineCounters c;
-  std::unordered_set<std::uint64_t> seen;
-
-  if (pool && pool->size() > 1) {
-    // Batched mode: collect up to batch_size filter-surviving pairs, align
-    // them on the pool, apply verdicts in task order. Like the round-based
-    // engine, the filter sees state that lags the batch by construction;
-    // the extra verdicts this admits are no-ops under apply (RR's
-    // removed/dependents guards, CCD's idempotent merges), so the final
-    // state matches the unbatched run bit for bit. Checkpoints land on
-    // flush boundaries, where every inspected pair is fully resolved.
-    std::vector<PairTask> batch;
-    std::vector<Verdict> verdicts;
-    const auto flush = [&] {
-      verdicts.clear();
-      evaluate_tasks(batch, worker_policy, nullptr, pool, verdicts);
-      for (const Verdict& v : verdicts) master_policy.apply(v);
-      batch.clear();
-    };
-    for (std::uint64_t i = 0; i < pairs.size(); ++i) {
-      if (i < start) continue;  // already folded into the resumed state
-      if ((i & 1023u) == 0) report_progress(i);  // filtered streaks count
-      const PairTask& task = pairs[static_cast<std::size_t>(i)];
-      ++c.promising_pairs;
-      if (!seen.insert(task.pair_key()).second) {
-        ++c.duplicate_pairs;
-        continue;
-      }
-      if (!master_policy.needs_alignment(task)) {
-        ++c.filtered_pairs;
-        continue;
-      }
-      ++c.aligned_pairs;
-      batch.push_back(task);
-      // Flush threshold, not grouping: verdicts apply in task order at any
-      // batch size (PR6 guarantee), so the governor shrinking the batch
-      // under memory pressure trades throughput for footprint only.
-      if (batch.size() >= util::governor().recommend_batch(params.batch_size)) {
-        flush();
-        report_progress(i + 1);
-        maybe_checkpoint(i + 1);
-      }
-    }
-    flush();
-    report_progress(pairs.size());
-    record_engine_counters(c);
-    return c;
-  }
-
-  for (std::uint64_t i = 0; i < pairs.size(); ++i) {
-    if (i < start) continue;  // already folded into the resumed state
-    if ((i & 1023u) == 0) report_progress(i);  // filtered streaks count
-    const PairTask& task = pairs[static_cast<std::size_t>(i)];
-    ++c.promising_pairs;
-    if (!seen.insert(task.pair_key()).second) {
-      ++c.duplicate_pairs;
-      continue;
-    }
-    if (!master_policy.needs_alignment(task)) {
-      ++c.filtered_pairs;
-      continue;
-    }
-    ++c.aligned_pairs;
-    std::uint64_t cells = 0;
-    master_policy.apply(worker_policy.evaluate(task, &cells));
-    if (((i + 1) & 255u) == 0) report_progress(i + 1);
-    maybe_checkpoint(i + 1);
-  }
-  report_progress(pairs.size());
+  const EngineCounters c = verify_pairs(pairs, params.batch_size,
+                                        master_policy, worker_policy, pool,
+                                        &observed);
   record_engine_counters(c);
   return c;
 }

@@ -1,11 +1,8 @@
 #include "pclust/pace/provenance.hpp"
 
-#include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
+#include <memory>
 
 #include "pclust/align/predicates.hpp"
-#include "pclust/dsu/union_find.hpp"
 #include "pclust/util/metrics.hpp"
 
 namespace pclust::pace {
@@ -58,60 +55,16 @@ std::vector<prov::Edge> derive_ccd_provenance(
     const PaceParams& params,
     const std::vector<std::vector<seq::SeqId>>& components,
     exec::Pool* pool) {
-  std::unordered_map<seq::SeqId, std::uint32_t> dense;
-  dense.reserve(ids.size());
-  for (std::uint32_t i = 0; i < ids.size(); ++i) dense[ids[i]] = i;
-
-  // Final component label per dense id (singletons keep a unique label).
-  std::vector<std::uint32_t> label(ids.size());
-  for (std::uint32_t i = 0; i < label.size(); ++i) label[i] = i;
-  for (std::uint32_t c = 0; c < components.size(); ++c) {
-    for (const seq::SeqId member : components[c]) {
-      const auto it = dense.find(member);
-      if (it == dense.end()) {
-        throw std::invalid_argument(
-            "derive_ccd_provenance: component member is not in the id set");
-      }
-      label[it->second] = static_cast<std::uint32_t>(ids.size()) + c;
-    }
-  }
-
   std::vector<prov::Edge> edges;
-  dsu::UnionFind uf(ids.size());
-  std::unordered_set<std::uint64_t> seen;
-  std::uint64_t realigned = 0;
-  for (const PairTask& task : canonical_pairs(set, ids, params, pool)) {
-    if (!seen.insert(task.pair_key()).second) continue;
-    const std::uint32_t da = dense.at(task.a);
-    const std::uint32_t db = dense.at(task.b);
-    if (uf.same(da, db)) continue;
-    // Provable reject: the final partition is the transitive closure of
-    // accepted overlaps, so a pair straddling two final components was
-    // necessarily rejected — skip it without paying for the alignment.
-    if (label[da] != label[db]) continue;
-    const align::PredicateOutcome out =
-        params.band > 0
-            ? align::test_overlap_banded(set.residues(task.a),
-                                         set.residues(task.b),
-                                         params.scheme(), task.diagonal(),
-                                         params.band, params.overlap)
-            : align::test_overlap(set.residues(task.a), set.residues(task.b),
-                                  params.scheme(), params.overlap);
-    ++realigned;
-    if (!out.accepted) continue;
-    uf.merge(da, db);
-    Verdict v;
-    v.a = task.a;
-    v.b = task.b;
-    v.code = 1;
-    v.score = out.alignment.score;
-    v.matches = out.alignment.matches;
-    v.columns = out.alignment.columns;
-    v.a_span = out.alignment.a_end - out.alignment.a_begin;
-    v.b_span = out.alignment.b_end - out.alignment.b_begin;
-    edges.push_back(ccd_edge_from_verdict(v));
-  }
-  util::metrics().counter("prov.ccd_replay_alignments").add(realigned);
+  const std::unique_ptr<MasterPolicy> master = make_ccd_replay_master(
+      ids, components, [&edges](const Verdict& v) {
+        edges.push_back(ccd_edge_from_verdict(v));
+      });
+  const std::unique_ptr<WorkerPolicy> worker = make_overlap_worker(set, params);
+  const EngineCounters c =
+      verify_pairs(canonical_pairs(set, ids, params, pool), params.batch_size,
+                   *master, *worker, pool);
+  util::metrics().counter("prov.ccd_replay_alignments").add(c.aligned_pairs);
   return edges;
 }
 

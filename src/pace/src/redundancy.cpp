@@ -76,31 +76,20 @@ class RrWorker final : public WorkerPolicy {
   RrWorker(const seq::SequenceSet& set, const PaceParams& params)
       : set_(set), params_(params) {}
 
-  Verdict evaluate(const PairTask& task, std::uint64_t* cells) override {
-    const auto res_a = set_.residues(task.a);
-    const auto res_b = set_.residues(task.b);
-
-    Verdict v{task.a, task.b, kNone};
-    bool a_in_b = false, b_in_a = false;
-    if (gate(res_a, res_b)) {
-      a_in_b = test(res_a, res_b, task.diagonal(), cells);
-    }
-    if (gate(res_b, res_a)) {
-      b_in_a = test(res_b, res_a, -task.diagonal(), cells);
-    }
-    v.code = code_of(a_in_b, b_in_a);
-    return v;
-  }
-
-  /// Batched form: both containment directions of every admitted task are
-  /// enqueued into one pair-batch call so the SIMD engine can pack them
-  /// into lanes. Verdicts and per-task cell counts are bit-identical to
-  /// per-pair evaluate(). The semiglobal containment variant has no batched
-  /// kernel and keeps the scalar loop.
+  /// Both containment directions of every task go into one SIMD pair
+  /// batch. Semiglobal containment has no batched kernel: scalar loop.
   void evaluate_batch(const PairTask* tasks, std::size_t count,
                       Verdict* verdicts, std::uint64_t* cells) override {
     if (params_.containment.semiglobal) {
-      WorkerPolicy::evaluate_batch(tasks, count, verdicts, cells);
+      for (std::size_t k = 0; k < count; ++k) {
+        const auto a = set_.residues(tasks[k].a);
+        const auto b = set_.residues(tasks[k].b);
+        const std::int64_t diagonal = tasks[k].diagonal();
+        std::uint64_t* c = cells ? cells + k : nullptr;
+        verdicts[k] = Verdict{tasks[k].a, tasks[k].b,
+                              code_of(gate(a, b) && test(a, b, diagonal, c),
+                                      gate(b, a) && test(b, a, -diagonal, c))};
+      }
       return;
     }
     const std::int64_t band =

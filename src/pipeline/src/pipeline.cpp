@@ -687,9 +687,7 @@ PipelineResult run(const seq::SequenceSet& input,
   const auto build_graph =
       [&](const std::vector<seq::SeqId>& component) -> bigraph::ComponentGraph {
     if (config.reduction == bigraph::Reduction::kDuplicate) {
-      bigraph::BdParams bd;
-      bd.pace = config.pace;
-      return bigraph::build_bd(set, component, bd);
+      return bigraph::build_bd(set, component, {config.pace}, pool_arg);
     }
     return bigraph::build_bm(set, component, config.bm);
   };

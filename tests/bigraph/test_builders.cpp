@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 
 #include "pclust/align/predicates.hpp"
+#include "pclust/align/simd.hpp"
+#include "pclust/exec/pool.hpp"
 #include "pclust/pace/components.hpp"
 #include "pclust/synth/generator.hpp"
 
@@ -104,6 +107,44 @@ TEST(BuildBd, NoFilterSkipsEdges) {
   EXPECT_LE(cg.aligned_pairs, cg.candidate_pairs);
   EXPECT_GT(cg.aligned_pairs,
             cg.candidate_pairs / 50);  // sanity: dedup is not everything
+}
+
+std::vector<std::vector<std::uint32_t>> adjacency(const ComponentGraph& cg) {
+  std::vector<std::vector<std::uint32_t>> out;
+  for (std::uint32_t i = 0; i < cg.graph.left_count(); ++i) {
+    const auto links = cg.graph.out_links(i);
+    out.emplace_back(links.begin(), links.end());
+  }
+  return out;
+}
+
+TEST(BuildBd, IdenticalAcrossPoolAndIsa) {
+  // B_d verifies through the shared batched stage: the edge list and the
+  // work statistics must not depend on the pool or on the SIMD tier.
+  const auto d = family_data(59, 50);
+  const align::Isa dispatched = align::current_isa();
+  exec::Pool pool(4);
+  for (const std::uint32_t band : {0u, 32u}) {
+    BdParams params;
+    params.pace.band = band;
+    align::set_isa(align::Isa::kScalar);
+    const auto golden = build_bd(d.sequences, all_ids(d.sequences), params);
+    ASSERT_GT(golden.graph.edge_count(), 0u);
+    for (const align::Isa isa : {align::Isa::kScalar, dispatched}) {
+      align::set_isa(isa);
+      for (exec::Pool* p : {static_cast<exec::Pool*>(nullptr), &pool}) {
+        const auto cg = build_bd(d.sequences, all_ids(d.sequences), params, p);
+        const std::string where = "band=" + std::to_string(band) + " isa=" +
+                                  align::isa_name(isa) +
+                                  (p ? " pool=4" : " pool=none");
+        EXPECT_EQ(adjacency(cg), adjacency(golden)) << where;
+        EXPECT_EQ(cg.candidate_pairs, golden.candidate_pairs) << where;
+        EXPECT_EQ(cg.aligned_pairs, golden.aligned_pairs) << where;
+        EXPECT_EQ(cg.alignment_cells, golden.alignment_cells) << where;
+      }
+    }
+  }
+  align::set_isa(dispatched);
 }
 
 TEST(BuildBm, WordsConnectContainingSequences) {

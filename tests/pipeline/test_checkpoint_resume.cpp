@@ -4,6 +4,7 @@
 // from a different input or configuration must be refused (exit 4 at the
 // CLI), never silently resumed from.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -49,10 +50,8 @@ class CheckpointResumeTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = fs::temp_directory_path() /
-           ("pclust_resume_test_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
+           ("pclust_resume_test_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::error_code ec;
     fs::remove_all(dir_, ec);
   }

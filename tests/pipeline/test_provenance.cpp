@@ -5,9 +5,11 @@
 // sidecars, partial-CCD re-entry), and the run report's `provenance`
 // section validates — including rejecting a tampered identity flag.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "pclust/synth/generator.hpp"
 #include "pclust/util/checkpoint.hpp"
 #include "pclust/util/json.hpp"
+#include "pclust/util/metrics.hpp"
 
 namespace pclust::pipeline {
 namespace {
@@ -112,6 +115,42 @@ TEST(PipelineProvenance, LedgerBytesInvariantAcrossExecutionShapes) {
   }
 }
 
+TEST(PipelineProvenance, ReplayLeavesPhaseCountersUntouched) {
+  // Simulated CCD derives its evidence by canonical replay through the
+  // shared verification stage; the replay must not count into the pace.*
+  // engine counters behind the report's alignment-work identity.
+  const auto d = make_data(305);
+  const auto pace_counters = [] {
+    std::map<std::string, std::uint64_t> out;
+    for (const auto& [name, value] : util::metrics().snapshot().counters) {
+      if (name.rfind("pace.", 0) == 0) out[name] = value;
+    }
+    return out;
+  };
+  PipelineConfig plain;
+  plain.processors = 4;
+  plain.threads = 2;
+  util::metrics().reset();
+  (void)run(d.sequences, plain);
+  const auto golden = pace_counters();
+  ASSERT_GT(golden.at("pace.alignments_attempted"), 0u);
+
+  PipelineConfig config = base_config();
+  config.processors = 4;
+  config.threads = 2;
+  util::metrics().reset();
+  const auto r = run(d.sequences, config);
+  EXPECT_EQ(pace_counters(), golden);
+  EXPECT_GT(util::metrics().snapshot().counter("prov.ccd_replay_alignments"),
+            0u);
+  std::string error;
+  EXPECT_TRUE(validate_report(
+      util::parse_json(
+          render_report(r, config, {"families", "synthetic", "prov.jsonl"})),
+      &error))
+      << error;
+}
+
 TEST(PipelineProvenance, LedgerBytesInvariantUnderHealedFaults) {
   const auto d = make_data(304);
   const std::string golden =
@@ -137,10 +176,8 @@ class ProvenanceResumeTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = fs::temp_directory_path() /
-           ("pclust_prov_resume_" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
+           ("pclust_prov_resume_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::error_code ec;
     fs::remove_all(dir_, ec);
   }

@@ -3,6 +3,7 @@
 // faulted simulated runs, resume provenance, and trace emission around a
 // real pipeline run.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <string>
@@ -104,7 +105,7 @@ TEST(RunReport, FaultedHealedParallelRunSatisfiesIdentity) {
 TEST(RunReport, ResumeProvenanceIsRecorded) {
   const auto d = make_data(83);
   const auto dir = std::filesystem::temp_directory_path() /
-                   "pclust_report_resume_test";
+                   ("pclust_report_resume_test_" + std::to_string(::getpid()));
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
   PipelineConfig config;

@@ -4,6 +4,7 @@
 // structured at a phase boundary with flushed checkpoints so --resume
 // with a larger budget completes bit-identically.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -78,8 +79,9 @@ TEST(ResourcePipelineTest, HopelessBudgetExitsStructuredAndResumes) {
   PipelineConfig plain;
   const auto golden = run(d.sequences, plain);
 
-  const fs::path dir =
-      fs::temp_directory_path() / "pclust_resource_test_resume";
+  const fs::path dir = fs::temp_directory_path() /
+                       ("pclust_resource_test_resume_" +
+                        std::to_string(::getpid()));
   std::error_code ec;
   fs::remove_all(dir, ec);
 

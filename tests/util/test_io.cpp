@@ -1,6 +1,7 @@
 #include "pclust/util/io.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -28,7 +29,9 @@ class IoEnvTest : public ::testing::Test {
   void SetUp() override {
     io().reset();
     util::metrics().reset();
-    dir_ = fs::temp_directory_path() / "pclust-test-io";
+    dir_ = fs::temp_directory_path() /
+           ("pclust-test-io-" + std::to_string(::getpid()) + "-" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

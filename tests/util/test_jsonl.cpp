@@ -1,6 +1,7 @@
 #include "pclust/util/jsonl.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -15,7 +16,11 @@ namespace fs = std::filesystem;
 class JsonlTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = (fs::temp_directory_path() / "pclust-test-tail.jsonl").string();
+    path_ = (fs::temp_directory_path() /
+             ("pclust-test-tail-" + std::to_string(::getpid()) + "-" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+              ".jsonl"))
+                .string();
     fs::remove(path_);
   }
   void TearDown() override { fs::remove(path_); }

@@ -80,6 +80,13 @@ rc=0; "$pclust" families "$smoke/missing.fa" 2>/dev/null || rc=$?
 [ "$rc" -eq 3 ] || { echo "expected exit 3 for missing input, got $rc"; exit 1; }
 rc=0; "$pclust" families --psi 0 "$smoke/in.fa" 2>/dev/null || rc=$?
 [ "$rc" -eq 2 ] || { echo "expected exit 2 for --psi 0, got $rc"; exit 1; }
+# Both callers of the shared fault-plan parser reject a plan the topology
+# cannot host.
+rc=0; "$pclust" simulate "$smoke/in.fa" --processors 4 \
+  --submaster-crash 1@1 2>/dev/null || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected exit 2 for --submaster-crash without --masters, got $rc"; exit 1; }
+rc=0; "$pclust" families "$smoke/in.fa" --crash 1@1 2>/dev/null || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected exit 2 for --crash without --processors, got $rc"; exit 1; }
 rc=0; "$pclust" generate --n 300 --families 5 --seed 8 --out "$smoke/other.fa" >/dev/null \
   && "$pclust" families "$smoke/other.fa" --checkpoint-dir "$smoke/ckpt" \
      --resume 2>/dev/null || rc=$?

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <string_view>
 #include <unordered_map>
@@ -107,19 +108,27 @@ class Checkpoints {
 
   [[nodiscard]] bool enabled() const { return !dir_.empty(); }
   [[nodiscard]] bool resuming() const { return enabled() && resume_; }
-  [[nodiscard]] std::filesystem::path path(const char* name) const {
+  [[nodiscard]] std::filesystem::path path(const std::string& name) const {
     return std::filesystem::path(dir_) / name;
   }
 
   /// Writes rotate the previous generation to "<name>.1" first, so a crash
   /// mid-write (or later corruption of the primary) still leaves a
   /// last-good file to roll back to.
-  void write(const char* name, std::uint32_t tag,
+  void write(const std::string& name, std::uint32_t tag,
              const util::CheckpointWriter& payload) const {
     if (enabled()) {
       write_checkpoint(path(name), tag, kPayloadV3, payload,
                        /*keep_previous=*/true);
     }
+  }
+
+  /// Remove both generations of @p name (a superseded checkpoint).
+  void discard(const std::string& name) const {
+    if (!enabled()) return;
+    std::error_code ec;
+    std::filesystem::remove(path(name), ec);
+    std::filesystem::remove(util::checkpoint_backup_path(path(name)), ec);
   }
 
   /// Open @p name for resume. Returns nullopt if resume is off or no usable
@@ -132,14 +141,14 @@ class Checkpoints {
   /// stored phase duration and @p from_backup whether the backup
   /// generation was used.
   [[nodiscard]] std::optional<util::CheckpointReader> open(
-      const char* name, std::uint32_t tag, double* seconds_out = nullptr,
-      bool* from_backup = nullptr) {
+      const std::string& name, std::uint32_t tag,
+      double* seconds_out = nullptr, bool* from_backup = nullptr) {
     if (!resuming()) return std::nullopt;
     util::CheckpointRecovery rec =
         util::recover_checkpoint(path(name), tag, kPayloadV3);
     for (const std::string& event : rec.events) {
       PCLUST_WARN << "pipeline: " << name << ": " << event;
-      recovery_log_.push_back(std::string(name) + ": " + event);
+      recovery_log_.push_back(name + ": " + event);
     }
     if (!rec.reader || rec.payload_version != kPayloadV3) return std::nullopt;
     if (rec.reader->u64() != fp_) {
@@ -157,7 +166,7 @@ class Checkpoints {
       PCLUST_WARN << "pipeline: " << name << ": checkpoint written by a run "
                   << "with masters=" << written_by << " (this run uses "
                   << masters_ << "); results are bit-identical, resuming";
-      recovery_log_.push_back(std::string(name) + ": provenance masters=" +
+      recovery_log_.push_back(name + ": provenance masters=" +
                               std::to_string(written_by));
     }
     if (seconds_out) *seconds_out = seconds;
@@ -360,8 +369,46 @@ void trace_sim_result(const mpsim::RunResult& run) {
   util::trace::set_current_pid(0);
 }
 
-/// Table-I aggregates over result.families; the shared tail of the compute
-/// and resume paths (families arrive sorted either way).
+/// One phase's merge evidence: its ledger edges and the merge count they
+/// must cover (a sidecar's "merges" field).
+struct Evidence {
+  std::vector<prov::Edge> edges;
+  std::uint64_t merges = 0;
+};
+
+/// How a phase's compute step ran: its recorded duration (virtual makespan
+/// for simulated phases) and the phase-log word.
+struct PhaseRun {
+  double seconds = 0.0;
+  const char* how = "computed";
+};
+
+/// What one pipeline phase supplies to the boundary scaffold in run(); the
+/// scaffold owns every other step (see DESIGN.md §9.4 for the order).
+struct Phase {
+  const char* name;      // governor, telemetry, trace and RSS-gauge label
+  const char* ckpt;      // "<ckpt>.ckpt" and the phase-log entry
+  const char* sidecar;   // "<sidecar>.prov.jsonl" and its phase field
+  std::uint32_t tag;     // checkpoint phase tag
+  // Telemetry phase record: virtual-time (simulated) phase, ranks, masters.
+  bool simulated = false;
+  int ranks = 1;
+  int masters = 1;
+  bool budget_check = true;  // check the memory budget at the boundary
+  double* seconds;     // the phase's recorded duration
+  Evidence* evidence;  // where the phase's evidence lands
+  std::function<void(util::CheckpointReader&)> decode;
+  std::function<PhaseRun(const util::Timer&)> compute;
+  std::function<void(util::CheckpointWriter&)> encode;
+  // Hash of the phase result a sidecar is bound to.
+  std::function<std::uint64_t()> result_hash;
+  // Fill *evidence for the phase result (when no sidecar was spliced),
+  // keeping any evidence compute already captured.
+  std::function<void()> derive;
+};
+
+/// Table-I aggregates over result.families (sorted whether the family
+/// phase was computed or resumed).
 PipelineResult finalize(PipelineResult result) {
   result.dense_subgraph_count = result.families.size();
   double degree_weighted = 0.0;
@@ -444,106 +491,130 @@ PipelineResult run(const seq::SequenceSet& input,
     PCLUST_INFO << "pipeline: phase " << phase << " " << how;
   };
 
-  // Merge-provenance capture state. Edges accumulate per phase and are
-  // assembled into result.provenance at every function exit; the ledger is
-  // a canonical derivation (see pace/provenance.hpp), so these vectors end
-  // up bit-identical however each phase actually executed.
+  // Merge-provenance capture state, one Evidence per phase, assembled into
+  // result.provenance at the single exit. The ledger is a canonical
+  // derivation (see pace/provenance.hpp), so the edges end up bit-identical
+  // however each phase actually executed.
   const bool want_prov = config.provenance;
-  std::vector<prov::Edge> rr_edges;
-  std::vector<prov::Edge> ccd_edges;
-  std::vector<prov::Edge> dsd_edges;
-  std::uint64_t dsd_expected_merges = 0;
-  const prov::Rule dsd_rule = config.reduction == bigraph::Reduction::kDuplicate
-                                  ? prov::Rule::kBd
-                                  : prov::Rule::kBm;
-  const auto append_dsd_edges =
-      [&](const std::vector<shingle::ShingleMerge>& merges) {
-        for (const shingle::ShingleMerge& m : merges) {
-          prov::Edge e;
-          e.a = m.a;
-          e.b = m.b;
-          e.phase = prov::Phase::kDsd;
-          e.rule = dsd_rule;
-          e.score = static_cast<std::int32_t>(m.matches);
-          e.matches = m.matches;
-          e.columns = m.columns;
-          dsd_edges.push_back(e);
-        }
-      };
+  Evidence rr_evidence;
+  Evidence ccd_evidence;
+  Evidence dsd_evidence;
 
-  // ---- Phase 1: redundancy removal --------------------------------------
-  util::governor().set_phase("rr");
-  bool from_backup = false;
-  bool rr_resumed = false;
-  if (auto reader =
-          ckpt.open("rr.ckpt", kTagRr, &result.rr_seconds, &from_backup)) {
-    result.rr.removed = reader->u8_vec();
-    const std::vector<std::uint32_t> containers = reader->u32_vec();
-    result.rr.container.assign(containers.begin(), containers.end());
-    if (result.rr.removed.size() != set.size() ||
-        result.rr.container.size() != set.size()) {
-      throw util::CheckpointError(
-          "rr.ckpt does not cover the current input set");
-    }
-    log_phase("rr", from_backup ? "resumed-backup" : "resumed");
-    rr_resumed = true;
-  } else {
-    const util::trace::WallSpan span("rr");
-    if (parallel) trace_sim_phase("sim:rr", config.processors);
-    // RR always runs flat (see below), so masters is 1 either way.
-    util::telemetry::phase_begin("rr", parallel,
-                                 parallel ? config.processors : 1, 1);
-    util::Timer timer;
-    pace::PaceParams rr_params = config.pace;
-    rr_params.band = config.rr_band;
-    rr_params.phase_label = "rr";
-    // RR applies containment verdicts order-dependently (removed/container
-    // bookkeeping is not confluent), so it always runs flat regardless of
-    // the configured master count; only CCD and DSD go hierarchical.
-    rr_params.masters = 1;
-    result.rr = parallel
-                    ? pace::remove_redundant(set, config.processors,
-                                             config.model, rr_params, pool_arg,
-                                             rr_plan)
-                    : pace::remove_redundant_serial(set, rr_params, pool_arg);
-    result.rr_seconds =
-        parallel ? result.rr.run.makespan : timer.elapsed_seconds();
-    util::telemetry::phase_end("rr", result.rr_seconds);
-    if (parallel) trace_sim_result(result.rr.run);
-    if (ckpt.enabled()) {
-      util::CheckpointWriter payload = ckpt.payload(result.rr_seconds);
-      payload.u8_vec(result.rr.removed);
-      payload.u32_vec(std::vector<std::uint32_t>(result.rr.container.begin(),
-                                                 result.rr.container.end()));
-      ckpt.write("rr.ckpt", kTagRr, payload);
-    }
-    log_phase("rr", "computed");
-  }
-  if (want_prov) {
-    // RR evidence: re-derived from the removal result (full-DP containment
-    // stats, canonical ascending order — see pace/provenance.hpp). Resumed
-    // phases splice the sidecar written by the run that computed them.
-    const std::uint64_t rr_hash = rr_result_hash(result.rr);
-    std::optional<std::vector<prov::Edge>> loaded;
-    if (rr_resumed && ckpt.enabled()) {
-      loaded = load_sidecar(ckpt.path("rr.prov.jsonl"), "rr", fp, rr_hash);
-    }
-    if (loaded) {
-      rr_edges = std::move(*loaded);
+  // The phase-boundary scaffold (DESIGN.md §9.4): resume or compute, then
+  // checkpoint, phase log, provenance, and boundary accounting, in this
+  // order for every phase.
+  const auto run_phase = [&](const Phase& phase) {
+    util::governor().set_phase(phase.name);
+    const std::string file = std::string(phase.ckpt) + ".ckpt";
+    bool resumed = false;
+    bool from_backup = false;
+    if (auto reader = ckpt.open(file, phase.tag, phase.seconds, &from_backup)) {
+      phase.decode(*reader);
+      resumed = true;
+      log_phase(phase.ckpt, from_backup ? "resumed-backup" : "resumed");
     } else {
-      rr_edges = pace::derive_rr_provenance(set, result.rr, config.pace);
+      const util::trace::WallSpan span(phase.name);
+      util::telemetry::phase_begin(phase.name, phase.simulated, phase.ranks,
+                                   phase.masters);
+      const util::Timer timer;
+      const PhaseRun ran = phase.compute(timer);
+      *phase.seconds = ran.seconds;
+      util::telemetry::phase_end(phase.name, ran.seconds);
       if (ckpt.enabled()) {
-        commit_sidecar(ckpt.path("rr.prov.jsonl"),
-                       render_sidecar("rr", fp, rr_hash,
-                                      result.rr.removed_count(), rr_edges));
+        util::CheckpointWriter payload = ckpt.payload(ran.seconds);
+        phase.encode(payload);
+        ckpt.write(file, phase.tag, payload);
+      }
+      log_phase(phase.ckpt, ran.how);
+    }
+    if (want_prov) {
+      // Resumed phases splice the sidecar written by the run that computed
+      // them; everything else derives (or keeps what compute captured) and
+      // commits a fresh sidecar.
+      const std::uint64_t hash = phase.result_hash();
+      const std::filesystem::path sidecar =
+          ckpt.path(std::string(phase.sidecar) + ".prov.jsonl");
+      std::optional<std::vector<prov::Edge>> loaded;
+      if (resumed) {
+        loaded = load_sidecar(sidecar, phase.sidecar, fp, hash,
+                              &phase.evidence->merges);
+      }
+      if (loaded) {
+        phase.evidence->edges = std::move(*loaded);
+      } else {
+        phase.derive();
+        if (ckpt.enabled()) {
+          commit_sidecar(sidecar,
+                         render_sidecar(phase.sidecar, fp, hash,
+                                        phase.evidence->merges,
+                                        phase.evidence->edges));
+        }
       }
     }
-  }
-  sample_phase_rss("rr");
-  // Past this point the rr checkpoint (if any) is flushed: a hopelessly
-  // over-budget run exits structured and resumable here, not OOM-killed.
-  util::governor().check_phase_boundary("rr", ckpt.enabled());
-  util::telemetry::poll_deadline();
+    sample_phase_rss(phase.name);
+    // Past this point the phase checkpoint (if any) is flushed: a hopelessly
+    // over-budget run exits structured and resumable here, not OOM-killed.
+    if (phase.budget_check) {
+      util::governor().check_phase_boundary(phase.name, ckpt.enabled());
+    }
+    util::telemetry::poll_deadline();
+  };
+
+  // ---- Phase 1: redundancy removal --------------------------------------
+  pace::PaceParams rr_params = config.pace;
+  rr_params.band = config.rr_band;
+  rr_params.phase_label = "rr";
+  // RR applies containment verdicts order-dependently (removed/container
+  // bookkeeping is not confluent), so it always runs flat regardless of
+  // the configured master count; only CCD and DSD go hierarchical.
+  rr_params.masters = 1;
+  run_phase({
+      .name = "rr",
+      .ckpt = "rr",
+      .sidecar = "rr",
+      .tag = kTagRr,
+      .simulated = parallel,
+      .ranks = parallel ? config.processors : 1,
+      .seconds = &result.rr_seconds,
+      .evidence = &rr_evidence,
+      .decode =
+          [&](util::CheckpointReader& reader) {
+            result.rr.removed = reader.u8_vec();
+            result.rr.container = reader.u32_vec();
+            if (result.rr.removed.size() != set.size() ||
+                result.rr.container.size() != set.size()) {
+              throw util::CheckpointError(
+                  "rr.ckpt does not cover the current input set");
+            }
+          },
+      .compute =
+          [&](const util::Timer& timer) -> PhaseRun {
+            if (!parallel) {
+              result.rr = pace::remove_redundant_serial(set, rr_params,
+                                                        pool_arg);
+              return {timer.elapsed_seconds()};
+            }
+            trace_sim_phase("sim:rr", config.processors);
+            result.rr =
+                pace::remove_redundant(set, config.processors, config.model,
+                                       rr_params, pool_arg, rr_plan);
+            trace_sim_result(result.rr.run);
+            return {result.rr.run.makespan};
+          },
+      .encode =
+          [&](util::CheckpointWriter& payload) {
+            payload.u8_vec(result.rr.removed);
+            payload.u32_vec(result.rr.container);
+          },
+      .result_hash = [&] { return rr_result_hash(result.rr); },
+      .derive =
+          [&] {
+            // Full-DP containment stats, canonical ascending order.
+            rr_evidence.edges =
+                pace::derive_rr_provenance(set, result.rr, config.pace);
+            rr_evidence.merges = result.rr.removed_count();
+          },
+  });
   const std::vector<seq::SeqId> survivors = result.rr.survivors();
   result.non_redundant_sequences = survivors.size();
   PCLUST_INFO << "pipeline: RR kept " << survivors.size() << " of "
@@ -551,123 +622,106 @@ PipelineResult run(const seq::SequenceSet& input,
               << ")";
 
   // ---- Phase 2: connected components -------------------------------------
-  util::governor().set_phase("ccd");
   pace::PaceParams ccd_params = config.pace;
   ccd_params.phase_label = "ccd";
-  bool ccd_resumed = false;
+  const int ccd_masters = parallel ? std::max(1, ccd_params.masters) : 1;
   // True when the serial CCD path recorded its merges at decision time
   // (from-scratch runs only — a partial resume replays instead, because
   // the merges before the watermark happened in an earlier process).
   bool ccd_captured = false;
-  if (auto reader =
-          ckpt.open("ccd.ckpt", kTagCcd, &result.ccd_seconds, &from_backup)) {
-    const std::uint64_t count = reader->u64();
-    result.ccd.components.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const std::vector<std::uint32_t> members = reader->u32_vec();
-      result.ccd.components.emplace_back(members.begin(), members.end());
-    }
-    log_phase("ccd", from_backup ? "resumed-backup" : "resumed");
-    ccd_resumed = true;
-  } else {
-    const util::trace::WallSpan span("ccd");
-    if (parallel) {
-      trace_sim_phase("sim:ccd", config.processors,
-                      std::max(1, ccd_params.masters));
-    }
-    util::telemetry::phase_begin("ccd", parallel,
-                                 parallel ? config.processors : 1,
-                                 parallel ? std::max(1, ccd_params.masters)
-                                          : 1);
-    util::Timer timer;
-    // Mid-stream progress snapshots (serial path only: the pair stream
-    // index is only a meaningful watermark there). `prior_seconds` carries
-    // the time the interrupted run(s) already spent, so the recorded phase
-    // duration spans every contributing run.
-    pace::CcdProgress partial;
-    bool have_partial = false;
-    double prior_seconds = 0.0;
-    if (!parallel) {
-      if (auto part =
-              ckpt.open("ccd_partial.ckpt", kTagCcdPartial, &prior_seconds)) {
-        partial.parents = part->u32_vec();
-        partial.next_pair = part->u64();
-        have_partial = partial.parents.size() == survivors.size();
-        if (!have_partial) prior_seconds = 0.0;
-      }
-    }
-    const auto on_checkpoint = [&](const pace::CcdProgress& progress) {
-      util::CheckpointWriter payload =
-          ckpt.payload(prior_seconds + timer.elapsed_seconds());
-      payload.u32_vec(progress.parents);
-      payload.u64(progress.next_pair);
-      ckpt.write("ccd_partial.ckpt", kTagCcdPartial, payload);
-    };
-    const std::uint64_t stride =
-        ckpt.enabled() && !parallel ? config.ccd_checkpoint_stride : 0;
-    // From-scratch serial CCD captures its evidence at the point of
-    // decision for free (the recorder fires on every successful union-find
-    // merge); the parallel and partially-resumed paths re-derive by
-    // canonical replay below, provably yielding the same edges.
-    ccd_captured = want_prov && !parallel && !have_partial;
-    std::function<void(const pace::Verdict&)> on_merge;
-    if (ccd_captured) {
-      on_merge = [&](const pace::Verdict& v) {
-        ccd_edges.push_back(pace::ccd_edge_from_verdict(v));
-      };
-    }
-    result.ccd =
-        parallel
-            ? pace::detect_components(set, survivors, config.processors,
-                                      config.model, ccd_params, pool_arg,
-                                      ccd_plan)
-            : pace::detect_components_serial(
-                  set, survivors, ccd_params, pool_arg,
-                  have_partial ? &partial : nullptr, stride,
-                  stride > 0 ? on_checkpoint
-                             : std::function<void(const pace::CcdProgress&)>(),
-                  on_merge);
-    result.ccd_seconds = parallel ? result.ccd.run.makespan
-                                  : prior_seconds + timer.elapsed_seconds();
-    util::telemetry::phase_end("ccd", result.ccd_seconds);
-    if (parallel) trace_sim_result(result.ccd.run);
-    if (ckpt.enabled()) {
-      util::CheckpointWriter payload = ckpt.payload(result.ccd_seconds);
-      payload.u64(result.ccd.components.size());
-      for (const auto& component : result.ccd.components) {
-        payload.u32_vec(std::vector<std::uint32_t>(component.begin(),
-                                                   component.end()));
-      }
-      ckpt.write("ccd.ckpt", kTagCcd, payload);
-      std::error_code ec;
-      std::filesystem::remove(ckpt.path("ccd_partial.ckpt"), ec);
-      std::filesystem::remove(
-          util::checkpoint_backup_path(ckpt.path("ccd_partial.ckpt")), ec);
-    }
-    log_phase("ccd", have_partial ? "resumed-partial" : "computed");
-  }
-  if (want_prov) {
-    const std::uint64_t ccd_hash = components_hash(result.ccd.components);
-    std::optional<std::vector<prov::Edge>> loaded;
-    if (ccd_resumed && ckpt.enabled()) {
-      loaded = load_sidecar(ckpt.path("ccd.prov.jsonl"), "ccd", fp, ccd_hash);
-    }
-    if (loaded) {
-      ccd_edges = std::move(*loaded);
-    } else {
-      if (!ccd_captured) {
-        ccd_edges = pace::derive_ccd_provenance(
-            set, survivors, ccd_params, result.ccd.components, pool_arg);
-      }
-      if (ckpt.enabled()) {
-        commit_sidecar(
-            ckpt.path("ccd.prov.jsonl"),
-            render_sidecar("ccd", fp, ccd_hash,
-                           survivors.size() - result.ccd.components.size(),
-                           ccd_edges));
-      }
-    }
-  }
+  run_phase({
+      .name = "ccd",
+      .ckpt = "ccd",
+      .sidecar = "ccd",
+      .tag = kTagCcd,
+      .simulated = parallel,
+      .ranks = parallel ? config.processors : 1,
+      .masters = ccd_masters,
+      .seconds = &result.ccd_seconds,
+      .evidence = &ccd_evidence,
+      .decode =
+          [&](util::CheckpointReader& reader) {
+            const std::uint64_t count = reader.u64();
+            result.ccd.components.reserve(static_cast<std::size_t>(count));
+            for (std::uint64_t i = 0; i < count; ++i) {
+              result.ccd.components.push_back(reader.u32_vec());
+            }
+          },
+      .compute =
+          [&](const util::Timer& timer) -> PhaseRun {
+            if (parallel) {
+              trace_sim_phase("sim:ccd", config.processors, ccd_masters);
+              result.ccd = pace::detect_components(
+                  set, survivors, config.processors, config.model,
+                  ccd_params, pool_arg, ccd_plan);
+              trace_sim_result(result.ccd.run);
+              return {result.ccd.run.makespan};
+            }
+            // Mid-stream progress snapshots (serial path only: the pair
+            // stream index is only a meaningful watermark there).
+            // `prior_seconds` carries the time the interrupted run(s)
+            // already spent, so the recorded phase duration spans every
+            // contributing run.
+            pace::CcdProgress partial;
+            bool have_partial = false;
+            double prior_seconds = 0.0;
+            if (auto part = ckpt.open("ccd_partial.ckpt", kTagCcdPartial,
+                                      &prior_seconds)) {
+              partial.parents = part->u32_vec();
+              partial.next_pair = part->u64();
+              have_partial = partial.parents.size() == survivors.size();
+              if (!have_partial) prior_seconds = 0.0;
+            }
+            const auto on_checkpoint = [&](const pace::CcdProgress& progress) {
+              util::CheckpointWriter payload =
+                  ckpt.payload(prior_seconds + timer.elapsed_seconds());
+              payload.u32_vec(progress.parents);
+              payload.u64(progress.next_pair);
+              ckpt.write("ccd_partial.ckpt", kTagCcdPartial, payload);
+            };
+            const std::uint64_t stride =
+                ckpt.enabled() ? config.ccd_checkpoint_stride : 0;
+            // A from-scratch run captures its evidence at the point of
+            // decision for free (the recorder fires on every successful
+            // union-find merge); the parallel and partially-resumed paths
+            // re-derive by canonical replay, provably yielding the same
+            // edges.
+            ccd_captured = want_prov && !have_partial;
+            std::function<void(const pace::Verdict&)> on_merge;
+            if (ccd_captured) {
+              on_merge = [&](const pace::Verdict& v) {
+                ccd_evidence.edges.push_back(pace::ccd_edge_from_verdict(v));
+              };
+            }
+            result.ccd = pace::detect_components_serial(
+                set, survivors, ccd_params, pool_arg,
+                have_partial ? &partial : nullptr, stride,
+                stride > 0 ? on_checkpoint
+                           : std::function<void(const pace::CcdProgress&)>(),
+                on_merge);
+            return {prior_seconds + timer.elapsed_seconds(),
+                    have_partial ? "resumed-partial" : "computed"};
+          },
+      .encode =
+          [&](util::CheckpointWriter& payload) {
+            payload.u64(result.ccd.components.size());
+            for (const auto& component : result.ccd.components) {
+              payload.u32_vec(component);
+            }
+          },
+      .result_hash = [&] { return components_hash(result.ccd.components); },
+      .derive =
+          [&] {
+            if (!ccd_captured) {
+              ccd_evidence.edges = pace::derive_ccd_provenance(
+                  set, survivors, ccd_params, result.ccd.components, pool_arg);
+            }
+            ccd_evidence.merges =
+                survivors.size() - result.ccd.components.size();
+          },
+  });
+  // The finished CCD checkpoint supersedes any mid-stream partial.
+  ckpt.discard("ccd_partial.ckpt");
   {
     static util::SizeHistogram& sizes =
         util::metrics().histogram("ccd.component_size");
@@ -675,14 +729,29 @@ PipelineResult run(const seq::SequenceSet& input,
       sizes.add(component.size());
     }
   }
-  sample_phase_rss("ccd");
-  util::governor().check_phase_boundary("ccd", ckpt.enabled());
-  util::telemetry::poll_deadline();
   result.components_min_size =
       result.ccd.count_with_min_size(config.min_component);
   PCLUST_INFO << "pipeline: CCD found " << result.components_min_size
               << " components of size >= " << config.min_component << " ("
               << util::format_duration(result.ccd_seconds) << ")";
+
+  // ---- Phases 3 + 4: bipartite graphs + dense subgraphs -------------------
+  std::size_t qualifying = 0;
+  for (const auto& component : result.ccd.components) {
+    if (component.size() >= config.min_component) ++qualifying;
+  }
+  const bool dsd_parallel = config.dsd_processors >= 2 && qualifying > 0;
+  // DSD may run on a different rank count than CCD; when it is too narrow
+  // to host the configured master tree (needs >= masters + 2 ranks), the
+  // DSD stage runs flat rather than failing the whole run — results are
+  // bit-identical either way.
+  int dsd_masters = 1;
+  if (dsd_parallel) {
+    dsd_masters = std::max(1, config.pace.masters);
+    if (dsd_masters > 1 && config.dsd_processors < dsd_masters + 2) {
+      dsd_masters = 1;
+    }
+  }
 
   const auto build_graph =
       [&](const std::vector<seq::SeqId>& component) -> bigraph::ComponentGraph {
@@ -691,112 +760,6 @@ PipelineResult run(const seq::SequenceSet& input,
     }
     return bigraph::build_bm(set, component, config.bm);
   };
-
-  // Assemble the final ledger (phase order rr, ccd, dsd; counts from the
-  // phase results, NOT from the edge lists — that is what makes the
-  // summary's `complete` flag a real coverage check).
-  const auto assemble_provenance = [&] {
-    if (!want_prov) return;
-    prov::Ledger& ledger = result.provenance;
-    ledger.sequences = set.size();
-    ledger.edges.reserve(rr_edges.size() + ccd_edges.size() +
-                         dsd_edges.size());
-    ledger.edges.insert(ledger.edges.end(), rr_edges.begin(), rr_edges.end());
-    ledger.edges.insert(ledger.edges.end(), ccd_edges.begin(),
-                        ccd_edges.end());
-    ledger.edges.insert(ledger.edges.end(), dsd_edges.begin(),
-                        dsd_edges.end());
-    ledger.recount();
-    ledger.counts.rr_merges = result.rr.removed_count();
-    ledger.counts.ccd_merges =
-        survivors.size() - result.ccd.components.size();
-    ledger.counts.dsd_merges = dsd_expected_merges;
-    if (!ledger.counts.identity_holds()) {
-      PCLUST_WARN << "pipeline: provenance merge identity violated (edges "
-                  << ledger.counts.total_edges() << ", expected merges "
-                  << (ledger.counts.rr_merges + ledger.counts.ccd_merges +
-                      ledger.counts.dsd_merges)
-                  << ") — the ledger's summary records complete=false";
-    }
-  };
-
-  // ---- Phases 3 + 4: bipartite graphs + dense subgraphs -------------------
-  if (auto reader = ckpt.open("families.ckpt", kTagFamilies,
-                              &result.bgg_dsd_seconds, &from_backup)) {
-    const std::uint64_t count = reader->u64();
-    result.families.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      Family family;
-      const std::vector<std::uint32_t> members = reader->u32_vec();
-      family.members.assign(members.begin(), members.end());
-      family.mean_degree = reader->f64();
-      family.density = reader->f64();
-      result.families.push_back(std::move(family));
-    }
-    log_phase("families", from_backup ? "resumed-backup" : "resumed");
-    if (want_prov) {
-      // The DSD phase itself is skipped, so its evidence comes from the
-      // sidecar (bound to the CCD partition it was derived from) or, when
-      // that is missing, from re-running Shingle capture per qualifying
-      // component — families are already final, so the re-run's family
-      // output is discarded and only the merge evidence kept.
-      const std::uint64_t ccd_hash = components_hash(result.ccd.components);
-      std::optional<std::vector<prov::Edge>> loaded;
-      if (ckpt.enabled()) {
-        loaded = load_sidecar(ckpt.path("dsd.prov.jsonl"), "dsd", fp,
-                              ccd_hash, &dsd_expected_merges);
-      }
-      if (loaded) {
-        dsd_edges = std::move(*loaded);
-      } else {
-        std::uint64_t s1 = 0;
-        std::uint64_t raw = 0;
-        for (const auto& component : result.ccd.components) {
-          if (component.size() < config.min_component) continue;
-          const bigraph::ComponentGraph graph = build_graph(component);
-          shingle::DsdStats stats;
-          std::vector<shingle::ShingleMerge> merges;
-          (void)shingle::report_families(graph, config.shingle, &stats,
-                                         pool_arg, &merges);
-          s1 += stats.first_level_shingles;
-          raw += stats.raw_components;
-          append_dsd_edges(merges);
-        }
-        dsd_expected_merges = s1 - raw;
-        if (ckpt.enabled()) {
-          commit_sidecar(ckpt.path("dsd.prov.jsonl"),
-                         render_sidecar("dsd", fp, ccd_hash,
-                                        dsd_expected_merges, dsd_edges));
-        }
-      }
-      assemble_provenance();
-    }
-    result.recovery_log = ckpt.recovery_log();
-    return finalize(std::move(result));
-  }
-
-  // ---- Phase 3: bipartite graph generation --------------------------------
-  const util::trace::WallSpan bgg_dsd_span("bgg+dsd");
-  std::size_t qualifying = 0;
-  for (const auto& component : result.ccd.components) {
-    if (component.size() >= config.min_component) ++qualifying;
-  }
-  const bool dsd_parallel = config.dsd_processors >= 2 && qualifying > 0;
-  int dsd_masters = 1;
-  if (dsd_parallel) {
-    // Mirrors the narrow-topology fallback below so the phase record names
-    // the master count the protocol will actually run with.
-    dsd_masters = std::max(1, config.pace.masters);
-    if (dsd_masters > 1 && config.dsd_processors < dsd_masters + 2) {
-      dsd_masters = 1;
-    }
-  }
-  util::telemetry::phase_begin("bgg+dsd", dsd_parallel,
-                               dsd_parallel ? config.dsd_processors : 1,
-                               dsd_masters);
-  util::Timer dsd_timer;
-  util::governor().set_phase("bgg+dsd");
-
   const auto graph_bytes = [](const bigraph::ComponentGraph& g) {
     return g.graph.memory_usage().total() + util::vector_bytes(g.members) +
            util::vector_bytes(g.words);
@@ -823,137 +786,219 @@ PipelineResult run(const seq::SequenceSet& input,
     result.families.push_back(std::move(family));
   };
 
-  // ---- Phase 4: dense subgraph detection ----------------------------------
+  // DSD merge evidence: the Shingle Pass II merges in component order, and
+  // the tallies whose difference is the expected merge count.
+  const prov::Rule dsd_rule = config.reduction == bigraph::Reduction::kDuplicate
+                                  ? prov::Rule::kBd
+                                  : prov::Rule::kBm;
   std::uint64_t dsd_s1 = 0;
   std::uint64_t dsd_raw = 0;
-  if (dsd_parallel) {
-    // LPT distribution needs every graph's cost estimate up front, so the
-    // protocol path always materializes; the memory charge still makes the
-    // footprint visible to the governor and the budget-exceeded exit.
-    std::vector<bigraph::ComponentGraph> graphs;
-    util::MemoryCharge graphs_charge;
-    for (const auto& component : result.ccd.components) {
-      if (component.size() < config.min_component) continue;
-      graphs.push_back(build_graph(component));
-      graphs_charge.add("bgg.graphs", graph_bytes(graphs.back()));
-    }
-    // The paper's batched distribution (LPT on the estimated shingle cost,
-    // ~ edges x c1 hash-and-select operations) on the resilient
-    // master-worker protocol: a rank death mid-phase requeues its graphs
-    // and replays its generation stream on a survivor, and the graph-keyed
-    // verdict slots keep the family output bit-identical to the serial
-    // path under any fault plan. See pipeline/dsd.hpp.
-    // DSD may run on a different rank count than CCD; when it is too
-    // narrow to host the configured master tree (needs >= masters + 2
-    // ranks), fall back to the flat protocol for this stage only rather
-    // than failing the whole run — results are bit-identical either way.
-    pace::PaceParams dsd_engine = config.pace;
-    if (dsd_engine.masters > 1 &&
-        config.dsd_processors < dsd_engine.masters + 2) {
-      PCLUST_WARN << "pipeline: dsd: " << config.dsd_processors
-                  << " ranks cannot host masters=" << dsd_engine.masters
-                  << " (need >= masters + 2); running the DSD stage flat";
-      dsd_engine.masters = 1;
-    }
-    trace_sim_phase("sim:dsd", config.dsd_processors,
-                    std::max(1, dsd_engine.masters));
-    DsdParallelResult dsd = run_dsd_parallel(
-        graphs, config.shingle, config.dsd_processors, config.dsd_model,
-        dsd_engine, pool_arg, config.dsd_fault_plan, want_prov);
-    result.dsd_simulated_seconds = dsd.run.makespan;
-    trace_sim_result(dsd.run);
-    result.dsd_run = std::move(dsd.run);
-    for (std::size_t g = 0; g < graphs.size(); ++g) {
-      for (auto& members : dsd.families_per_graph[g]) {
-        fold_family(graphs[g], std::move(members));
-      }
-    }
+  const auto add_dsd_evidence =
+      [&](std::uint64_t s1, std::uint64_t raw,
+          const std::vector<shingle::ShingleMerge>& merges) {
+        dsd_s1 += s1;
+        dsd_raw += raw;
+        for (const shingle::ShingleMerge& m : merges) {
+          prov::Edge e;
+          e.a = m.a;
+          e.b = m.b;
+          e.phase = prov::Phase::kDsd;
+          e.rule = dsd_rule;
+          e.score = static_cast<std::int32_t>(m.matches);
+          e.matches = m.matches;
+          e.columns = m.columns;
+          dsd_evidence.edges.push_back(e);
+        }
+      };
+  // One component graph through Shingle (the serial drain's step).
+  const auto shingle_graph = [&](const bigraph::ComponentGraph& graph) {
+    shingle::DsdStats stats;
+    std::vector<shingle::ShingleMerge> merges;
+    auto families = shingle::report_families(
+        graph, config.shingle, want_prov ? &stats : nullptr, pool_arg,
+        want_prov ? &merges : nullptr);
     if (want_prov) {
-      // Graph order == component order, so the concatenated evidence is
-      // bit-identical to the serial drain's regardless of which rank
-      // evaluated which graph.
-      for (std::size_t g = 0; g < graphs.size(); ++g) {
-        dsd_s1 += dsd.s1_nodes_per_graph[g];
-        dsd_raw += dsd.raw_components_per_graph[g];
-        append_dsd_edges(dsd.merges_per_graph[g]);
-      }
+      add_dsd_evidence(stats.first_level_shingles, stats.raw_components,
+                       merges);
     }
-  } else {
-    // Serial DSD: one progress unit per component graph, the same
-    // granularity the protocol path reports via its verdict stream.
-    // Graphs are built, processed, and folded strictly in component order,
-    // so the family output is bit-identical whether every graph is
-    // materialized first (fault-free default) or the governor switches to
-    // streaming mid-build (each pending graph drained and dropped as soon
-    // as pressure crosses the threshold).
-    util::telemetry::progress_enqueued(qualifying);
-    std::vector<bigraph::ComponentGraph> pending;
-    util::MemoryCharge pending_charge;
-    bool streaming = false;
-    const auto drain = [&] {
-      for (bigraph::ComponentGraph& graph : pending) {
-        shingle::DsdStats stats;
-        std::vector<shingle::ShingleMerge> merges;
-        for (auto& members : shingle::report_families(
-                 graph, config.shingle, want_prov ? &stats : nullptr,
-                 pool_arg, want_prov ? &merges : nullptr)) {
-          fold_family(graph, std::move(members));
-        }
-        if (want_prov) {
-          dsd_s1 += stats.first_level_shingles;
-          dsd_raw += stats.raw_components;
-          append_dsd_edges(merges);
-        }
-        util::telemetry::progress_done(1);
-        util::telemetry::poll_deadline();
-      }
-      pending.clear();
-      pending_charge.reset();
-    };
-    for (const auto& component : result.ccd.components) {
-      if (component.size() < config.min_component) continue;
-      pending.push_back(build_graph(component));
-      pending_charge.add("bgg.graphs", graph_bytes(pending.back()));
-      if (!streaming) streaming = util::governor().should_stream("bgg+dsd");
-      if (streaming) drain();
-    }
-    drain();
-  }
-  result.bgg_dsd_seconds = dsd_timer.elapsed_seconds();
-  util::telemetry::phase_end("bgg+dsd", result.bgg_dsd_seconds);
-  sample_phase_rss("bgg+dsd");
-  util::telemetry::poll_deadline();
-  if (want_prov) {
-    dsd_expected_merges = dsd_s1 - dsd_raw;
-    if (ckpt.enabled()) {
-      commit_sidecar(ckpt.path("dsd.prov.jsonl"),
-                     render_sidecar("dsd", fp,
-                                    components_hash(result.ccd.components),
-                                    dsd_expected_merges, dsd_edges));
-    }
-  }
-
-  std::sort(result.families.begin(), result.families.end(),
-            [](const Family& a, const Family& b) {
-              if (a.members.size() != b.members.size()) {
-                return a.members.size() > b.members.size();
+    return families;
+  };
+  // True once the computed DSD phase has recorded its evidence.
+  bool dsd_captured = false;
+  run_phase({
+      .name = "bgg+dsd",
+      .ckpt = "families",
+      .sidecar = "dsd",
+      .tag = kTagFamilies,
+      .simulated = dsd_parallel,
+      .ranks = dsd_parallel ? config.dsd_processors : 1,
+      .masters = dsd_masters,
+      // The final phase has nothing left to spill into; a budget check
+      // here could only turn a finished run into exit 5.
+      .budget_check = false,
+      .seconds = &result.bgg_dsd_seconds,
+      .evidence = &dsd_evidence,
+      .decode =
+          [&](util::CheckpointReader& reader) {
+            const std::uint64_t count = reader.u64();
+            result.families.reserve(static_cast<std::size_t>(count));
+            for (std::uint64_t i = 0; i < count; ++i) {
+              Family family;
+              family.members = reader.u32_vec();
+              family.mean_degree = reader.f64();
+              family.density = reader.f64();
+              result.families.push_back(std::move(family));
+            }
+          },
+      .compute =
+          [&](const util::Timer& timer) -> PhaseRun {
+            dsd_captured = want_prov;
+            if (dsd_parallel) {
+              // LPT distribution needs every graph's cost estimate up
+              // front, so the protocol path always materializes; the memory
+              // charge still makes the footprint visible to the governor
+              // and the budget-exceeded exit.
+              std::vector<bigraph::ComponentGraph> graphs;
+              util::MemoryCharge graphs_charge;
+              for (const auto& component : result.ccd.components) {
+                if (component.size() < config.min_component) continue;
+                graphs.push_back(build_graph(component));
+                graphs_charge.add("bgg.graphs", graph_bytes(graphs.back()));
               }
-              return a.members.front() < b.members.front();
-            });
+              // The paper's batched distribution (LPT on the estimated
+              // shingle cost, ~ edges x c1 hash-and-select operations) on
+              // the resilient master-worker protocol: a rank death
+              // mid-phase requeues its graphs and replays its generation
+              // stream on a survivor, and the graph-keyed verdict slots
+              // keep the family output bit-identical to the serial path
+              // under any fault plan. See pipeline/dsd.hpp.
+              pace::PaceParams dsd_engine = config.pace;
+              if (dsd_engine.masters > dsd_masters) {
+                PCLUST_WARN << "pipeline: dsd: " << config.dsd_processors
+                            << " ranks cannot host masters="
+                            << dsd_engine.masters
+                            << " (need >= masters + 2); running the DSD "
+                               "stage flat";
+                dsd_engine.masters = dsd_masters;
+              }
+              trace_sim_phase("sim:dsd", config.dsd_processors, dsd_masters);
+              DsdParallelResult dsd = run_dsd_parallel(
+                  graphs, config.shingle, config.dsd_processors,
+                  config.dsd_model, dsd_engine, pool_arg,
+                  config.dsd_fault_plan, want_prov);
+              result.dsd_simulated_seconds = dsd.run.makespan;
+              trace_sim_result(dsd.run);
+              result.dsd_run = std::move(dsd.run);
+              // Graph order == component order, so families and evidence
+              // are bit-identical to the serial drain's regardless of which
+              // rank evaluated which graph.
+              for (std::size_t g = 0; g < graphs.size(); ++g) {
+                for (auto& members : dsd.families_per_graph[g]) {
+                  fold_family(graphs[g], std::move(members));
+                }
+                if (want_prov) {
+                  add_dsd_evidence(dsd.s1_nodes_per_graph[g],
+                                   dsd.raw_components_per_graph[g],
+                                   dsd.merges_per_graph[g]);
+                }
+              }
+            } else {
+              // Serial DSD: one progress unit per component graph, the same
+              // granularity the protocol path reports via its verdict
+              // stream. Graphs are built, processed, and folded strictly in
+              // component order, so the family output is bit-identical
+              // whether every graph is materialized first (fault-free
+              // default) or the governor switches to streaming mid-build
+              // (each pending graph drained and dropped as soon as pressure
+              // crosses the threshold).
+              util::telemetry::progress_enqueued(qualifying);
+              std::vector<bigraph::ComponentGraph> pending;
+              util::MemoryCharge pending_charge;
+              bool streaming = false;
+              const auto drain = [&] {
+                for (bigraph::ComponentGraph& graph : pending) {
+                  for (auto& members : shingle_graph(graph)) {
+                    fold_family(graph, std::move(members));
+                  }
+                  util::telemetry::progress_done(1);
+                  util::telemetry::poll_deadline();
+                }
+                pending.clear();
+                pending_charge.reset();
+              };
+              for (const auto& component : result.ccd.components) {
+                if (component.size() < config.min_component) continue;
+                pending.push_back(build_graph(component));
+                pending_charge.add("bgg.graphs", graph_bytes(pending.back()));
+                if (!streaming) {
+                  streaming = util::governor().should_stream("bgg+dsd");
+                }
+                if (streaming) drain();
+              }
+              drain();
+            }
+            const double seconds = timer.elapsed_seconds();
+            std::sort(result.families.begin(), result.families.end(),
+                      [](const Family& a, const Family& b) {
+                        if (a.members.size() != b.members.size()) {
+                          return a.members.size() > b.members.size();
+                        }
+                        return a.members.front() < b.members.front();
+                      });
+            return {seconds};
+          },
+      .encode =
+          [&](util::CheckpointWriter& payload) {
+            payload.u64(result.families.size());
+            for (const Family& f : result.families) {
+              payload.u32_vec(f.members);
+              payload.f64(f.mean_degree);
+              payload.f64(f.density);
+            }
+          },
+      // DSD evidence is bound to the CCD partition it was derived from.
+      .result_hash = [&] { return components_hash(result.ccd.components); },
+      .derive =
+          [&] {
+            if (!dsd_captured) {
+              // Families were resumed, so Shingle re-runs per qualifying
+              // component for its merge evidence only; the re-run's
+              // families are discarded.
+              for (const auto& component : result.ccd.components) {
+                if (component.size() < config.min_component) continue;
+                (void)shingle_graph(build_graph(component));
+              }
+            }
+            dsd_evidence.merges = dsd_s1 - dsd_raw;
+          },
+  });
 
-  if (ckpt.enabled()) {
-    util::CheckpointWriter payload = ckpt.payload(result.bgg_dsd_seconds);
-    payload.u64(result.families.size());
-    for (const Family& f : result.families) {
-      payload.u32_vec(
-          std::vector<std::uint32_t>(f.members.begin(), f.members.end()));
-      payload.f64(f.mean_degree);
-      payload.f64(f.density);
+  if (want_prov) {
+    // Assemble the final ledger (phase order rr, ccd, dsd; RR and CCD
+    // counts from the phase results, NOT from the edge lists — that is what
+    // makes the summary's `complete` flag a real coverage check).
+    prov::Ledger& ledger = result.provenance;
+    ledger.sequences = set.size();
+    ledger.edges.reserve(rr_evidence.edges.size() + ccd_evidence.edges.size() +
+                         dsd_evidence.edges.size());
+    for (const Evidence* evidence :
+         {&rr_evidence, &ccd_evidence, &dsd_evidence}) {
+      ledger.edges.insert(ledger.edges.end(), evidence->edges.begin(),
+                          evidence->edges.end());
     }
-    ckpt.write("families.ckpt", kTagFamilies, payload);
+    ledger.recount();
+    ledger.counts.rr_merges = result.rr.removed_count();
+    ledger.counts.ccd_merges =
+        survivors.size() - result.ccd.components.size();
+    ledger.counts.dsd_merges = dsd_evidence.merges;
+    if (!ledger.counts.identity_holds()) {
+      PCLUST_WARN << "pipeline: provenance merge identity violated (edges "
+                  << ledger.counts.total_edges() << ", expected merges "
+                  << (ledger.counts.rr_merges + ledger.counts.ccd_merges +
+                      ledger.counts.dsd_merges)
+                  << ") — the ledger's summary records complete=false";
+    }
   }
-  log_phase("families", "computed");
-  assemble_provenance();
   result.recovery_log = ckpt.recovery_log();
   return finalize(std::move(result));
 }

@@ -1,12 +1,12 @@
 // Suffix array construction via SA-IS (Nong, Zhang & Chan 2009): linear
 // time, linear extra space, induced sorting.
 //
-// pclust's generalized suffix tree (suffix_tree.hpp) is materialized from
-// the suffix array plus the separator-truncated LCP array — the LCP-interval
-// tree of a suffix array is exactly the suffix tree topology (Abouelhoda,
-// Kurtz & Ohlebusch 2004), and building it this way sidesteps the classic
-// single-separator ambiguity of online constructions over concatenated
-// multi-sequence text.
+// pclust never materializes its generalized suffix tree: the maximal-match
+// enumerator walks the suffix array plus the separator-truncated LCP array
+// directly — the LCP-interval tree of a suffix array is exactly the suffix
+// tree topology (Abouelhoda, Kurtz & Ohlebusch 2004), and working this way
+// sidesteps the classic single-separator ambiguity of online constructions
+// over concatenated multi-sequence text.
 #pragma once
 
 #include <cstdint>

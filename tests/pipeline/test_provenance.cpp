@@ -235,19 +235,33 @@ TEST_F(ProvenanceResumeTest, DamagedSidecarIsReDerivedNotTrusted) {
 }
 
 TEST_F(ProvenanceResumeTest, MissingSidecarsAreReDerived) {
+  // Both DSD evidence rules (B_d, B_m) on both DSD executors (serial drain,
+  // simulated protocol): re-derived evidence must equal the fresh capture.
   const auto d = make_data(307);
-  PipelineConfig config = base_config();
-  config.checkpoint_dir = dir_.string();
-  const std::string fresh =
-      prov::render_ledger(run(d.sequences, config).provenance);
+  for (const auto reduction :
+       {bigraph::Reduction::kDuplicate, bigraph::Reduction::kMatchBased}) {
+    for (const int dsd_processors : {0, 4}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "reduction=" << static_cast<int>(reduction)
+                   << " dsd_processors=" << dsd_processors);
+      std::error_code ec;
+      fs::remove_all(dir_, ec);
+      PipelineConfig config = base_config();
+      config.reduction = reduction;
+      config.dsd_processors = dsd_processors;
+      config.checkpoint_dir = dir_.string();
+      const std::string fresh =
+          prov::render_ledger(run(d.sequences, config).provenance);
 
-  fs::remove(dir_ / "rr.prov.jsonl");
-  fs::remove(dir_ / "ccd.prov.jsonl");
-  fs::remove(dir_ / "dsd.prov.jsonl");
+      fs::remove(dir_ / "rr.prov.jsonl");
+      fs::remove(dir_ / "ccd.prov.jsonl");
+      fs::remove(dir_ / "dsd.prov.jsonl");
 
-  config.resume = true;
-  const auto resumed = run(d.sequences, config);
-  EXPECT_EQ(prov::render_ledger(resumed.provenance), fresh);
+      config.resume = true;
+      const auto resumed = run(d.sequences, config);
+      EXPECT_EQ(prov::render_ledger(resumed.provenance), fresh);
+    }
+  }
 }
 
 TEST_F(ProvenanceResumeTest, CaptureOnResumeOfAProvenancelessRun) {

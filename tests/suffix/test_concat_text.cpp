@@ -75,5 +75,12 @@ TEST(ConcatText, StartOf) {
   EXPECT_EQ(text.start_of(2), 8u);
 }
 
+TEST(ConcatText, MemoryUsageNamedAndNonZero) {
+  const auto set = make_set();
+  const auto b = ConcatText(set).memory_usage();
+  EXPECT_EQ(b.name, "concat_text");
+  EXPECT_GT(b.total(), 0u);
+}
+
 }  // namespace
 }  // namespace pclust::suffix

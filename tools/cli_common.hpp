@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "pclust/mpsim/fault_plan.hpp"
 #include "pclust/util/options.hpp"
 
 namespace pclust::cli {
@@ -61,6 +62,14 @@ std::uint64_t parse_mem_size(const std::string& text, const char* flag);
 /// Throws UsageError (naming --@p flag) on malformed entries.
 std::vector<std::pair<int, double>> parse_rank_at(const std::string& text,
                                                   const char* flag);
+
+/// The simulated-machine fault plan from --crash, --submaster-crash,
+/// --submaster-straggle, --straggle, --drop, --dup and --fault-seed (each
+/// command defines those options with its own defaults). @p masters is the
+/// run's master-tree width: sub-master ranks 1..masters are addressed by
+/// the --submaster-* flags, never by --crash. Throws UsageError on a value
+/// the topology cannot host.
+mpsim::FaultPlan parse_fault_plan(const util::Options& options, int masters);
 
 /// Defines the shared --simd option (auto|avx2|sse2|off) on @p options.
 void define_simd_option(util::Options& options);

@@ -38,7 +38,7 @@ cmake --build build-asan -j --target test_util test_seq test_align \
  ./tests/test_seq
  ./tests/test_align --gtest_filter='BatchSimd*:ScorePath*'
  ./tests/test_mpsim
- ./tests/test_pace --gtest_filter='FaultTolerance*'
+ ./tests/test_pace --gtest_filter='FaultTolerance*:RrProvenance*'
  ./tests/test_prov
  ./tests/test_pipeline \
    --gtest_filter='CheckpointResumeTest*:ResourcePipelineTest*:PipelineProvenance*:ProvenanceResumeTest*')

@@ -9,6 +9,12 @@
 // sequences "overlap" if they share a local alignment with >= 30 %
 // similarity that includes >= 80 % of the LONGER sequence.
 //
+// Both definitions cut on a local alignment. The pipeline scores its pairs
+// through the batched engine (batch.hpp) and applies the decision layers
+// below to the results; the test_* helpers run the same decision on one
+// scalar score-only alignment and serve as independent oracles (the
+// brute-force reference sweeps, tests).
+//
 // All cutoffs are user-tunable software parameters (paper, footnote 3); the
 // defaults below are the paper's defaults.
 #pragma once
@@ -23,12 +29,6 @@ namespace pclust::align {
 struct ContainmentParams {
   double min_similarity = 0.95;  // identity over the aligned region
   double min_coverage = 0.95;    // fraction of the contained sequence aligned
-  /// Use the semiglobal ("glocal") formulation instead of local alignment:
-  /// the inner sequence is consumed end-to-end (coverage is 1 by
-  /// construction) and only the similarity cutoff decides. Stricter on
-  /// inner sequences with noisy flanks; never accepts what local rejects
-  /// on similarity.
-  bool semiglobal = false;
 };
 
 struct OverlapParams {
@@ -42,7 +42,7 @@ struct PredicateOutcome {
 };
 
 /// Decision layer of Definition 1 over a precomputed score-only local
-/// alignment of (inner, outer) — shared by test_containment* and callers
+/// alignment of (inner, outer) — shared by test_containment and callers
 /// that score pairs through the batched SIMD engine.
 [[nodiscard]] PredicateOutcome containment_outcome(
     const AlignmentResult& r, std::size_t inner_len,
@@ -66,13 +66,8 @@ struct PredicateOutcome {
                                             const ScoringScheme& scheme,
                                             const OverlapParams& params = {});
 
-/// Banded variants seeded on the diagonal of a shared maximal match
+/// Banded variant seeded on the diagonal of a shared maximal match
 /// (diagonal = position-in-first - position-in-second).
-[[nodiscard]] PredicateOutcome test_containment_banded(
-    std::string_view inner, std::string_view outer,
-    const ScoringScheme& scheme, std::int64_t diagonal,
-    std::uint32_t band_halfwidth, const ContainmentParams& params = {});
-
 [[nodiscard]] PredicateOutcome test_overlap_banded(
     std::string_view a, std::string_view b, const ScoringScheme& scheme,
     std::int64_t diagonal, std::uint32_t band_halfwidth,

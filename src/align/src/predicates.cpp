@@ -34,10 +34,8 @@ PredicateOutcome test_containment(std::string_view inner,
                                   const ContainmentParams& params) {
   // Predicates only cut on scores and region statistics, never on the
   // column path, so they always take the score-only fast path.
-  const AlignmentResult r = params.semiglobal
-                                ? semiglobal_align_score(inner, outer, scheme)
-                                : local_align_score(inner, outer, scheme);
-  return containment_outcome(r, inner.size(), params);
+  return containment_outcome(local_align_score(inner, outer, scheme),
+                             inner.size(), params);
 }
 
 PredicateOutcome test_overlap(std::string_view a, std::string_view b,
@@ -45,17 +43,6 @@ PredicateOutcome test_overlap(std::string_view a, std::string_view b,
                               const OverlapParams& params) {
   return overlap_outcome(local_align_score(a, b, scheme), a.size(), b.size(),
                       params);
-}
-
-PredicateOutcome test_containment_banded(std::string_view inner,
-                                         std::string_view outer,
-                                         const ScoringScheme& scheme,
-                                         std::int64_t diagonal,
-                                         std::uint32_t band_halfwidth,
-                                         const ContainmentParams& params) {
-  return containment_outcome(
-      banded_local_align_score(inner, outer, scheme, diagonal, band_halfwidth),
-      inner.size(), params);
 }
 
 PredicateOutcome test_overlap_banded(std::string_view a, std::string_view b,

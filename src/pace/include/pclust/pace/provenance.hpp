@@ -31,7 +31,9 @@
 // removed -> container pointers a forest, and each removal is exactly one
 // conceptual merge. The evidence alignment is recomputed with the FULL
 // dynamic program (no band) so the recorded stats are canonical even when
-// the phase cut corners with a banded filter.
+// the phase cut corners with a banded filter. All removals are scored in
+// one batched call (align_score_batch: SIMD lanes, with the scalar engine
+// for pairs past the lane caps), bit-identical to local_align_score.
 #pragma once
 
 #include <vector>
@@ -50,7 +52,7 @@ namespace pclust::pace {
 [[nodiscard]] prov::Edge ccd_edge_from_verdict(const Verdict& v);
 
 /// Canonical RR evidence: one containment edge per removed sequence, in
-/// ascending removed-id order, each scored by the full-DP containment
+/// ascending removed-id order, each scored by the full-DP (unbanded) local
 /// alignment of (removed, container). Pure function of (set, rr, params).
 [[nodiscard]] std::vector<prov::Edge> derive_rr_provenance(
     const seq::SequenceSet& set, const RedundancyResult& rr,

@@ -2,7 +2,7 @@
 
 #include <memory>
 
-#include "pclust/align/predicates.hpp"
+#include "pclust/align/batch.hpp"
 #include "pclust/util/metrics.hpp"
 
 namespace pclust::pace {
@@ -24,28 +24,37 @@ prov::Edge ccd_edge_from_verdict(const Verdict& v) {
 std::vector<prov::Edge> derive_rr_provenance(const seq::SequenceSet& set,
                                              const RedundancyResult& rr,
                                              const PaceParams& params) {
+  // One edge and one unbanded (removed, container) job per removal, in
+  // ascending removed-id order; all jobs are scored in a single batch.
   std::vector<prov::Edge> edges;
+  std::vector<align::PairJob> jobs;
   edges.reserve(rr.removed_count());
+  jobs.reserve(rr.removed_count());
   for (seq::SeqId id = 0; id < rr.removed.size(); ++id) {
     if (!rr.removed[id]) continue;
-    const seq::SeqId container = rr.container[id];
-    const align::PredicateOutcome out = align::test_containment(
-        set.residues(id), set.residues(container), params.scheme(),
-        params.containment);
-    // The phase's (possibly banded) decision already stands; the canonical
-    // full-DP alignment is recorded as evidence even in the rare case its
-    // cutoff check disagrees with the banded filter's.
     prov::Edge e;
     e.a = id;
-    e.b = container;
+    e.b = rr.container[id];
     e.phase = prov::Phase::kRr;
     e.rule = prov::Rule::kContainment;
-    e.score = out.alignment.score;
-    e.matches = out.alignment.matches;
-    e.columns = out.alignment.columns;
-    e.a_span = out.alignment.a_end - out.alignment.a_begin;
-    e.b_span = out.alignment.b_end - out.alignment.b_begin;
     edges.push_back(e);
+    jobs.push_back({set.residues(e.a), set.residues(e.b)});
+  }
+  std::vector<align::AlignmentResult> results(jobs.size());
+  align::align_score_batch(jobs.data(), jobs.size(), params.scheme(),
+                           results.data());
+
+  // The phase's (possibly banded) decision already stands; the canonical
+  // full-DP alignment is recorded as evidence even in the rare case its
+  // cutoff check disagrees with the banded filter's.
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    const align::AlignmentResult& r = results[k];
+    prov::Edge& e = edges[k];
+    e.score = r.score;
+    e.matches = r.matches;
+    e.columns = r.columns;
+    e.a_span = r.a_end - r.a_begin;
+    e.b_span = r.b_end - r.b_begin;
   }
   return edges;
 }

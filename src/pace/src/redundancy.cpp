@@ -77,21 +77,9 @@ class RrWorker final : public WorkerPolicy {
       : set_(set), params_(params) {}
 
   /// Both containment directions of every task go into one SIMD pair
-  /// batch. Semiglobal containment has no batched kernel: scalar loop.
+  /// batch.
   void evaluate_batch(const PairTask* tasks, std::size_t count,
                       Verdict* verdicts, std::uint64_t* cells) override {
-    if (params_.containment.semiglobal) {
-      for (std::size_t k = 0; k < count; ++k) {
-        const auto a = set_.residues(tasks[k].a);
-        const auto b = set_.residues(tasks[k].b);
-        const std::int64_t diagonal = tasks[k].diagonal();
-        std::uint64_t* c = cells ? cells + k : nullptr;
-        verdicts[k] = Verdict{tasks[k].a, tasks[k].b,
-                              code_of(gate(a, b) && test(a, b, diagonal, c),
-                                      gate(b, a) && test(b, a, -diagonal, c))};
-      }
-      return;
-    }
     const std::int64_t band =
         params_.band > 0 ? static_cast<std::int64_t>(params_.band)
                          : std::int64_t{-1};
@@ -143,19 +131,6 @@ class RrWorker final : public WorkerPolicy {
     if (a_in_b) return kAInB;
     if (b_in_a) return kBInA;
     return kNone;
-  }
-
-  bool test(std::string_view inner, std::string_view outer,
-            std::int64_t diagonal, std::uint64_t* cells) const {
-    const align::PredicateOutcome out =
-        params_.band > 0
-            ? align::test_containment_banded(inner, outer, params_.scheme(),
-                                             diagonal, params_.band,
-                                             params_.containment)
-            : align::test_containment(inner, outer, params_.scheme(),
-                                      params_.containment);
-    if (cells) *cells += out.alignment.cells;
-    return out.accepted;
   }
 
   const seq::SequenceSet& set_;

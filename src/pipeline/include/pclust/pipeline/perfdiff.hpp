@@ -10,6 +10,10 @@
 // `speedup_vs_full_matrix`) must be >= 1.0 in the candidate — a score-only
 // fast path slower than the full-traceback kernel it replaces is a bug
 // regardless of what the baseline said.
+//
+// Kernel rows match the baseline by name and, for rows that carry a
+// `threads` field (one row per pool size), by thread count as well; such
+// rows report as `kernel.<name>.t<threads>.<metric>`.
 #pragma once
 
 #include <string>

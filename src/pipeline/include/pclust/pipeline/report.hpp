@@ -33,7 +33,7 @@ struct ReportInfo {
   /// Where the merge-provenance ledger was written (--provenance-out);
   /// empty when no ledger file was requested. The report's `provenance`
   /// section appears whenever capture ran, with or without a file.
-  std::string provenance_path;
+  std::string provenance_path{};
 };
 
 /// Render the report document for a finished run. Reads the process-wide

@@ -57,11 +57,16 @@ double num_or(const util::JsonValue& obj, const char* key, double fallback) {
   return v && v->is_number() ? v->as_number() : fallback;
 }
 
+/// The baseline row for a candidate row: same name and, when the row
+/// carries a thread count (one row per pool size), the same thread count.
 const util::JsonValue* find_kernel(const util::JsonValue& doc,
-                                   const std::string& name) {
+                                   const std::string& name,
+                                   const util::JsonValue* threads) {
   for (const util::JsonValue& k : doc.at("kernels").array) {
     const util::JsonValue* n = k.find("name");
-    if (n && n->is_string() && n->as_string() == name) return &k;
+    if (!n || !n->is_string() || n->as_string() != name) continue;
+    const util::JsonValue* t = k.find("threads");
+    if (!threads || (t && t->as_number() == threads->as_number())) return &k;
   }
   return nullptr;
 }
@@ -92,7 +97,12 @@ void diff_kernels(const util::JsonValue& baseline,
                   const util::JsonValue& candidate, DiffContext& ctx) {
   for (const util::JsonValue& cand : candidate.at("kernels").array) {
     const std::string& name = cand.at("name").as_string();
-    const std::string prefix = "kernel." + name + ".";
+    const util::JsonValue* threads = cand.find("threads");
+    std::string prefix = "kernel." + name + ".";
+    if (threads) {
+      prefix += "t" + std::to_string(static_cast<int>(threads->as_number())) +
+                ".";
+    }
 
     // Absolute gates first: a score-only variant slower than the full
     // kernel is broken whatever the baseline recorded.
@@ -118,7 +128,7 @@ void diff_kernels(const util::JsonValue& baseline,
       }
     }
 
-    const util::JsonValue* base = find_kernel(baseline, name);
+    const util::JsonValue* base = find_kernel(baseline, name, threads);
     if (!base) continue;  // new kernel: gates above still apply
     const bool gate_time =
         num_or(*base, "seconds",

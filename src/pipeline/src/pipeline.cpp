@@ -75,7 +75,7 @@ std::uint64_t fingerprint(const seq::SequenceSet& set,
   mix(cfg.rr_band);
   mix_f(cfg.pace.containment.min_similarity);
   mix_f(cfg.pace.containment.min_coverage);
-  mix(cfg.pace.containment.semiglobal ? 1 : 0);
+  mix(0);  // retired containment-mode word; keeps existing checkpoints valid
   mix_f(cfg.pace.overlap.min_similarity);
   mix_f(cfg.pace.overlap.min_long_coverage);
   mix(static_cast<std::uint64_t>(cfg.reduction));

@@ -79,6 +79,27 @@ TEST(PerfDiff, WithinToleranceIsNotARegression) {
                   .has_regression());
 }
 
+TEST(PerfDiff, KernelRowsMatchOnThreadCount) {
+  // bench_kernels writes one pooled row per thread count; a row is diffed
+  // only against the baseline row of the same thread count.
+  const util::JsonValue base = util::parse_json(R"({"kernels": [
+    {"name": "ccd_bruteforce_pooled", "threads": 2, "seconds": 2.0,
+     "pairs_per_sec": 10000.0}
+  ]})");
+  const util::JsonValue cand = util::parse_json(R"({"kernels": [
+    {"name": "ccd_bruteforce_pooled", "threads": 2, "seconds": 2.0,
+     "pairs_per_sec": 10000.0},
+    {"name": "ccd_bruteforce_pooled", "threads": 4, "seconds": 5.0,
+     "pairs_per_sec": 4000.0}
+  ]})");
+  const PerfDiffResult r = perf_diff(base, cand);
+  EXPECT_FALSE(r.has_regression());
+  EXPECT_FALSE(metric_regressed(r, "kernel.ccd_bruteforce_pooled.t2.seconds"));
+  for (const PerfFinding& f : r.findings) {
+    EXPECT_EQ(f.metric.find(".t4."), std::string::npos) << f.metric;
+  }
+}
+
 TEST(PerfDiff, ScoreOnlyKernelMustBeatFullMatrixAbsolutely) {
   // Even when the BASELINE itself recorded the anomaly, a candidate with
   // speedup_vs_full < 1.0 must fail: the absolute gate is candidate-side.

@@ -207,7 +207,7 @@ void apply_simd_option(const util::Options& options) {
                      "' (use auto, avx2, sse2, or off)");
   }
   const align::Isa effective = align::set_isa(*requested);
-  std::printf("alignment SIMD: %s (%u pairs per batch)\n",
+  std::printf("alignment SIMD: %s (%zu pairs per batch)\n",
               align::isa_name(effective), align::isa_lanes(effective));
 }
 

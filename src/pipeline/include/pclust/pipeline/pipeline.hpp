@@ -87,7 +87,7 @@ struct PipelineConfig {
   /// Memory budget in bytes for the capacity ledger (util/memgov);
   /// 0 = unlimited. Under pressure the run degrades along
   /// output-invariant levers only (smaller evaluation grains/batches,
-  /// streaming BGG, shingle-table spill), so the family output stays
+  /// shingle-table spill), so the family output stays
   /// bit-identical to an unconstrained run; a run that exceeds twice the
   /// budget despite degradation exits structured at the next phase
   /// boundary (MemoryBudgetExceeded), resumable when checkpointing is on.
@@ -104,9 +104,9 @@ struct PipelineConfig {
   /// fault plan under which the family output itself is invariant (see
   /// pace/provenance.hpp and DESIGN.md §16). The serial CCD path captures
   /// at decision time for free; parallel/resumed runs derive by canonical
-  /// replay. With checkpointing enabled, per-phase provenance sidecars
-  /// (<phase>.prov.jsonl in checkpoint_dir) let `--resume` splice already-
-  /// derived evidence instead of re-deriving it.
+  /// replay. With checkpointing enabled, each phase's evidence rides in
+  /// its checkpoint, so `--resume` splices already-derived evidence
+  /// instead of re-deriving it.
   bool provenance = false;
 
   /// Fault injection for the simulated RR and CCD phases (ignored when

@@ -120,6 +120,15 @@ DsdParallelResult run_dsd_parallel(
   // application wins and ordering never matters.
   std::vector<char> seen(graphs.size(), 0);
   std::vector<char> applied(graphs.size(), 0);
+  // One apply step for the flat master and the hierarchical root.
+  const auto apply = [&](const DsdVerdict& v) {
+    if (applied[v.graph]) return;
+    applied[v.graph] = 1;
+    out.families_per_graph[v.graph] = v.families;
+    out.merges_per_graph[v.graph] = v.merges;
+    out.s1_nodes_per_graph[v.graph] = v.s1_nodes;
+    out.raw_components_per_graph[v.graph] = v.raw_components;
+  };
 
   const auto worker_fn = [&](mpsim::Communicator& comm) {
     mpsim::MwWorker<DsdTask, DsdVerdict> worker;
@@ -177,26 +186,12 @@ DsdParallelResult run_dsd_parallel(
               seen[t.graph] = 1;
               return mpsim::MwAdmit::kQueue;
             };
-            master.apply = [&](const DsdVerdict& v) {
-              if (applied[v.graph]) return;
-              applied[v.graph] = 1;
-              out.families_per_graph[v.graph] = v.families;
-              out.merges_per_graph[v.graph] = v.merges;
-              out.s1_nodes_per_graph[v.graph] = v.s1_nodes;
-              out.raw_components_per_graph[v.graph] = v.raw_components;
-            };
+            master.apply = apply;
             mpsim::mw_master_loop(comm, opt, master);
             return;
           }
           mpsim::MwRoot<DsdVerdict> root;
-          root.apply = [&](const DsdVerdict& v) {
-            if (applied[v.graph]) return;  // event replay: first wins
-            applied[v.graph] = 1;
-            out.families_per_graph[v.graph] = v.families;
-            out.merges_per_graph[v.graph] = v.merges;
-            out.s1_nodes_per_graph[v.graph] = v.s1_nodes;
-            out.raw_components_per_graph[v.graph] = v.raw_components;
-          };
+          root.apply = apply;
           mpsim::mw_root_loop(comm, opt, topo, root);
           return;
         }

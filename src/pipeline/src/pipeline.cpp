@@ -1,13 +1,10 @@
 #include "pclust/pipeline/pipeline.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <optional>
-#include <string_view>
 #include <unordered_map>
 
 #include "pclust/exec/pool.hpp"
@@ -15,8 +12,6 @@
 #include "pclust/pace/provenance.hpp"
 #include "pclust/pipeline/dsd.hpp"
 #include "pclust/util/checkpoint.hpp"
-#include "pclust/util/io.hpp"
-#include "pclust/util/json.hpp"
 #include "pclust/util/log.hpp"
 #include "pclust/util/memgov.hpp"
 #include "pclust/util/memsize.hpp"
@@ -196,138 +191,6 @@ class Checkpoints {
   std::vector<std::string> recovery_log_;
 };
 
-// ---- Merge-provenance sidecars ------------------------------------------
-//
-// With checkpointing enabled, every phase that contributed evidence edges
-// also commits a `<phase>.prov.jsonl` sidecar next to its checkpoint:
-//   line 1   {"schema":"pclust-provenance-sidecar","version":1,"phase":...,
-//             "fingerprint":<hex>,"result":<hex>,"merges":N,"edges":M}
-//   lines 2..M+1   prov::render_edge lines (the ledger's edge format)
-// A sidecar is loaded ONLY when its phase was resumed from the matching
-// checkpoint (same run fingerprint AND same phase-result hash) — a healed
-// parallel RR can legitimately produce a different, equally valid removal
-// set for the same fingerprint, and stale evidence must never splice onto
-// it. Any mismatch or damage silently falls back to canonical re-derivation:
-// sidecars are a resume optimization, never a source of truth.
-constexpr std::string_view kSidecarSchema = "pclust-provenance-sidecar";
-constexpr int kSidecarVersion = 1;
-
-/// Hex rendering for the u64 hashes in sidecar meta lines (JSON numbers
-/// are doubles — a full-range u64 would lose precision).
-std::string hex_u64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return std::string(buf);
-}
-
-/// FNV-1a accumulator for phase-result hashes.
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-  void mix(std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  }
-};
-
-std::uint64_t rr_result_hash(const pace::RedundancyResult& rr) {
-  Fnv f;
-  f.mix(rr.removed.size());
-  for (const std::uint8_t r : rr.removed) f.mix(r);
-  for (const seq::SeqId c : rr.container) f.mix(c);
-  return f.h;
-}
-
-std::uint64_t components_hash(
-    const std::vector<std::vector<seq::SeqId>>& components) {
-  Fnv f;
-  f.mix(components.size());
-  for (const auto& component : components) {
-    f.mix(component.size());
-    for (const seq::SeqId m : component) f.mix(m);
-  }
-  return f.h;
-}
-
-std::string render_sidecar(std::string_view phase, std::uint64_t fp,
-                           std::uint64_t result_hash, std::uint64_t merges,
-                           const std::vector<prov::Edge>& edges) {
-  util::JsonWriter w;
-  w.begin_object()
-      .key("schema").value(kSidecarSchema)
-      .key("version").value(kSidecarVersion)
-      .key("phase").value(phase)
-      .key("fingerprint").value(hex_u64(fp))
-      .key("result").value(hex_u64(result_hash))
-      .key("merges").value(merges)
-      .key("edges").value(static_cast<std::uint64_t>(edges.size()))
-      .end_object();
-  std::string out = w.str();
-  out += '\n';
-  for (const prov::Edge& e : edges) {
-    out += prov::render_edge(e);
-    out += '\n';
-  }
-  return out;
-}
-
-/// Load a render_sidecar file. nullopt (never a throw) when the file is
-/// missing, damaged, truncated, or bound to a different fingerprint or
-/// phase result — the caller re-derives. On success @p merges_out (if
-/// given) receives the stored expected-merge count.
-std::optional<std::vector<prov::Edge>> load_sidecar(
-    const std::filesystem::path& path, std::string_view phase,
-    std::uint64_t fp, std::uint64_t result_hash,
-    std::uint64_t* merges_out = nullptr) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  try {
-    std::string line;
-    if (!std::getline(in, line)) return std::nullopt;
-    const util::JsonValue meta = util::parse_json(line);
-    const util::JsonValue* schema = meta.find("schema");
-    if (!schema || !schema->is_string() ||
-        schema->as_string() != kSidecarSchema) {
-      return std::nullopt;
-    }
-    if (static_cast<int>(meta.at("version").as_number()) != kSidecarVersion ||
-        meta.at("phase").as_string() != phase ||
-        meta.at("fingerprint").as_string() != hex_u64(fp) ||
-        meta.at("result").as_string() != hex_u64(result_hash)) {
-      return std::nullopt;
-    }
-    const std::uint64_t declared = meta.at("edges").as_u64();
-    std::vector<prov::Edge> edges;
-    edges.reserve(static_cast<std::size_t>(declared));
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      edges.push_back(prov::parse_edge(line));
-    }
-    if (edges.size() != declared) return std::nullopt;
-    if (merges_out) *merges_out = meta.at("merges").as_u64();
-    return edges;
-  } catch (const std::exception& err) {
-    PCLUST_WARN << "pipeline: damaged provenance sidecar " << path.string()
-                << ": " << err.what() << " (re-deriving)";
-    return std::nullopt;
-  }
-}
-
-/// Commit a sidecar through the IoEnv. Failures warn and continue: the
-/// requested audit artifact is the FINAL ledger (whose write is fatal,
-/// see prov::write_ledger) — sidecars only make `--resume` cheaper.
-void commit_sidecar(const std::filesystem::path& path,
-                    const std::string& bytes) {
-  try {
-    util::io::io().commit_file(util::io::ArtifactClass::kProvenance, path,
-                               bytes);
-  } catch (const util::io::IoError& err) {
-    PCLUST_WARN << "pipeline: provenance sidecar " << path.string()
-                << " not written (" << err.what()
-                << "); a resumed run will re-derive";
-  }
-}
-
 /// Record the process RSS at a phase boundary as a `mem.rss.<phase>`
 /// gauge; the run report's memory section reads the high-water marks. A
 /// no-op (gauge stays 0) where /proc is unavailable.
@@ -370,17 +233,45 @@ void trace_sim_result(const mpsim::RunResult& run) {
 }
 
 /// One phase's merge evidence: its ledger edges and the merge count they
-/// must cover (a sidecar's "merges" field).
+/// must cover.
 struct Evidence {
   std::vector<prov::Edge> edges;
   std::uint64_t merges = 0;
 };
 
+/// The optional trailing section of a phase checkpoint payload: u64 merges,
+/// u64 n, then n render_edge lines (the ledger's edge format). Result and
+/// evidence share one CRC-checked, atomically committed file, so they can
+/// never disagree and roll back to the backup generation together.
+void encode_evidence(util::CheckpointWriter& payload,
+                     const Evidence& evidence) {
+  payload.u64(evidence.merges);
+  payload.u64(evidence.edges.size());
+  for (const prov::Edge& e : evidence.edges) {
+    payload.str(prov::render_edge(e));
+  }
+}
+
+/// Read the evidence section after a phase's data. False when the payload
+/// ends there: the checkpoint was written without provenance (or by a
+/// build that predates the section), and the phase derives instead.
+bool decode_evidence(util::CheckpointReader& reader, Evidence& evidence) {
+  if (reader.exhausted()) return false;
+  evidence.merges = reader.u64();
+  const std::uint64_t count = reader.u64();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    evidence.edges.push_back(prov::parse_edge(reader.str()));
+  }
+  return true;
+}
+
 /// How a phase's compute step ran: its recorded duration (virtual makespan
-/// for simulated phases) and the phase-log word.
+/// for simulated phases), the phase-log word, and whether compute already
+/// captured the phase's evidence at decision time.
 struct PhaseRun {
   double seconds = 0.0;
   const char* how = "computed";
+  bool captured = false;
 };
 
 /// What one pipeline phase supplies to the boundary scaffold in run(); the
@@ -388,7 +279,6 @@ struct PhaseRun {
 struct Phase {
   const char* name;      // governor, telemetry, trace and RSS-gauge label
   const char* ckpt;      // "<ckpt>.ckpt" and the phase-log entry
-  const char* sidecar;   // "<sidecar>.prov.jsonl" and its phase field
   std::uint32_t tag;     // checkpoint phase tag
   // Telemetry phase record: virtual-time (simulated) phase, ranks, masters.
   bool simulated = false;
@@ -400,10 +290,8 @@ struct Phase {
   std::function<void(util::CheckpointReader&)> decode;
   std::function<PhaseRun(const util::Timer&)> compute;
   std::function<void(util::CheckpointWriter&)> encode;
-  // Hash of the phase result a sidecar is bound to.
-  std::function<std::uint64_t()> result_hash;
-  // Fill *evidence for the phase result (when no sidecar was spliced),
-  // keeping any evidence compute already captured.
+  // Fill *evidence for the phase result when compute did not capture it
+  // and the checkpoint carried none.
   std::function<void()> derive;
 };
 
@@ -500,17 +388,18 @@ PipelineResult run(const seq::SequenceSet& input,
   Evidence ccd_evidence;
   Evidence dsd_evidence;
 
-  // The phase-boundary scaffold (DESIGN.md §9.4): resume or compute, then
-  // checkpoint, phase log, provenance, and boundary accounting, in this
-  // order for every phase.
+  // The phase-boundary scaffold (DESIGN.md §9.4): resume or compute (with
+  // the phase's evidence riding in its checkpoint), phase log, and boundary
+  // accounting, in this order for every phase.
   const auto run_phase = [&](const Phase& phase) {
     util::governor().set_phase(phase.name);
     const std::string file = std::string(phase.ckpt) + ".ckpt";
-    bool resumed = false;
     bool from_backup = false;
     if (auto reader = ckpt.open(file, phase.tag, phase.seconds, &from_backup)) {
       phase.decode(*reader);
-      resumed = true;
+      if (want_prov && !decode_evidence(*reader, *phase.evidence)) {
+        phase.derive();
+      }
       log_phase(phase.ckpt, from_backup ? "resumed-backup" : "resumed");
     } else {
       const util::trace::WallSpan span(phase.name);
@@ -520,36 +409,14 @@ PipelineResult run(const seq::SequenceSet& input,
       const PhaseRun ran = phase.compute(timer);
       *phase.seconds = ran.seconds;
       util::telemetry::phase_end(phase.name, ran.seconds);
+      if (want_prov && !ran.captured) phase.derive();
       if (ckpt.enabled()) {
         util::CheckpointWriter payload = ckpt.payload(ran.seconds);
         phase.encode(payload);
+        if (want_prov) encode_evidence(payload, *phase.evidence);
         ckpt.write(file, phase.tag, payload);
       }
       log_phase(phase.ckpt, ran.how);
-    }
-    if (want_prov) {
-      // Resumed phases splice the sidecar written by the run that computed
-      // them; everything else derives (or keeps what compute captured) and
-      // commits a fresh sidecar.
-      const std::uint64_t hash = phase.result_hash();
-      const std::filesystem::path sidecar =
-          ckpt.path(std::string(phase.sidecar) + ".prov.jsonl");
-      std::optional<std::vector<prov::Edge>> loaded;
-      if (resumed) {
-        loaded = load_sidecar(sidecar, phase.sidecar, fp, hash,
-                              &phase.evidence->merges);
-      }
-      if (loaded) {
-        phase.evidence->edges = std::move(*loaded);
-      } else {
-        phase.derive();
-        if (ckpt.enabled()) {
-          commit_sidecar(sidecar,
-                         render_sidecar(phase.sidecar, fp, hash,
-                                        phase.evidence->merges,
-                                        phase.evidence->edges));
-        }
-      }
     }
     sample_phase_rss(phase.name);
     // Past this point the phase checkpoint (if any) is flushed: a hopelessly
@@ -571,7 +438,6 @@ PipelineResult run(const seq::SequenceSet& input,
   run_phase({
       .name = "rr",
       .ckpt = "rr",
-      .sidecar = "rr",
       .tag = kTagRr,
       .simulated = parallel,
       .ranks = parallel ? config.processors : 1,
@@ -606,7 +472,6 @@ PipelineResult run(const seq::SequenceSet& input,
             payload.u8_vec(result.rr.removed);
             payload.u32_vec(result.rr.container);
           },
-      .result_hash = [&] { return rr_result_hash(result.rr); },
       .derive =
           [&] {
             // Full-DP containment stats, canonical ascending order.
@@ -625,14 +490,12 @@ PipelineResult run(const seq::SequenceSet& input,
   pace::PaceParams ccd_params = config.pace;
   ccd_params.phase_label = "ccd";
   const int ccd_masters = parallel ? std::max(1, ccd_params.masters) : 1;
-  // True when the serial CCD path recorded its merges at decision time
-  // (from-scratch runs only — a partial resume replays instead, because
-  // the merges before the watermark happened in an earlier process).
-  bool ccd_captured = false;
+  const auto ccd_merges = [&]() -> std::uint64_t {
+    return survivors.size() - result.ccd.components.size();
+  };
   run_phase({
       .name = "ccd",
       .ckpt = "ccd",
-      .sidecar = "ccd",
       .tag = kTagCcd,
       .simulated = parallel,
       .ranks = parallel ? config.processors : 1,
@@ -685,10 +548,11 @@ PipelineResult run(const seq::SequenceSet& input,
             // decision for free (the recorder fires on every successful
             // union-find merge); the parallel and partially-resumed paths
             // re-derive by canonical replay, provably yielding the same
-            // edges.
-            ccd_captured = want_prov && !have_partial;
+            // edges (a partial resume's pre-watermark merges happened in
+            // an earlier process).
+            const bool capture = want_prov && !have_partial;
             std::function<void(const pace::Verdict&)> on_merge;
-            if (ccd_captured) {
+            if (capture) {
               on_merge = [&](const pace::Verdict& v) {
                 ccd_evidence.edges.push_back(pace::ccd_edge_from_verdict(v));
               };
@@ -699,8 +563,9 @@ PipelineResult run(const seq::SequenceSet& input,
                 stride > 0 ? on_checkpoint
                            : std::function<void(const pace::CcdProgress&)>(),
                 on_merge);
+            ccd_evidence.merges = ccd_merges();
             return {prior_seconds + timer.elapsed_seconds(),
-                    have_partial ? "resumed-partial" : "computed"};
+                    have_partial ? "resumed-partial" : "computed", capture};
           },
       .encode =
           [&](util::CheckpointWriter& payload) {
@@ -709,15 +574,11 @@ PipelineResult run(const seq::SequenceSet& input,
               payload.u32_vec(component);
             }
           },
-      .result_hash = [&] { return components_hash(result.ccd.components); },
       .derive =
           [&] {
-            if (!ccd_captured) {
-              ccd_evidence.edges = pace::derive_ccd_provenance(
-                  set, survivors, ccd_params, result.ccd.components, pool_arg);
-            }
-            ccd_evidence.merges =
-                survivors.size() - result.ccd.components.size();
+            ccd_evidence.edges = pace::derive_ccd_provenance(
+                set, survivors, ccd_params, result.ccd.components, pool_arg);
+            ccd_evidence.merges = ccd_merges();
           },
   });
   // The finished CCD checkpoint supersedes any mid-stream partial.
@@ -787,17 +648,14 @@ PipelineResult run(const seq::SequenceSet& input,
   };
 
   // DSD merge evidence: the Shingle Pass II merges in component order, and
-  // the tallies whose difference is the expected merge count.
+  // the expected merge count (S1 nodes minus raw components, per graph).
   const prov::Rule dsd_rule = config.reduction == bigraph::Reduction::kDuplicate
                                   ? prov::Rule::kBd
                                   : prov::Rule::kBm;
-  std::uint64_t dsd_s1 = 0;
-  std::uint64_t dsd_raw = 0;
   const auto add_dsd_evidence =
       [&](std::uint64_t s1, std::uint64_t raw,
           const std::vector<shingle::ShingleMerge>& merges) {
-        dsd_s1 += s1;
-        dsd_raw += raw;
+        dsd_evidence.merges += s1 - raw;
         for (const shingle::ShingleMerge& m : merges) {
           prov::Edge e;
           e.a = m.a;
@@ -810,7 +668,7 @@ PipelineResult run(const seq::SequenceSet& input,
           dsd_evidence.edges.push_back(e);
         }
       };
-  // One component graph through Shingle (the serial drain's step).
+  // One component graph through Shingle (the serial path's step).
   const auto shingle_graph = [&](const bigraph::ComponentGraph& graph) {
     shingle::DsdStats stats;
     std::vector<shingle::ShingleMerge> merges;
@@ -823,12 +681,9 @@ PipelineResult run(const seq::SequenceSet& input,
     }
     return families;
   };
-  // True once the computed DSD phase has recorded its evidence.
-  bool dsd_captured = false;
   run_phase({
       .name = "bgg+dsd",
       .ckpt = "families",
-      .sidecar = "dsd",
       .tag = kTagFamilies,
       .simulated = dsd_parallel,
       .ranks = dsd_parallel ? config.dsd_processors : 1,
@@ -852,7 +707,6 @@ PipelineResult run(const seq::SequenceSet& input,
           },
       .compute =
           [&](const util::Timer& timer) -> PhaseRun {
-            dsd_captured = want_prov;
             if (dsd_parallel) {
               // LPT distribution needs every graph's cost estimate up
               // front, so the protocol path always materializes; the memory
@@ -890,7 +744,7 @@ PipelineResult run(const seq::SequenceSet& input,
               trace_sim_result(dsd.run);
               result.dsd_run = std::move(dsd.run);
               // Graph order == component order, so families and evidence
-              // are bit-identical to the serial drain's regardless of which
+              // are bit-identical to the serial path's regardless of which
               // rank evaluated which graph.
               for (std::size_t g = 0; g < graphs.size(); ++g) {
                 for (auto& members : dsd.families_per_graph[g]) {
@@ -903,39 +757,22 @@ PipelineResult run(const seq::SequenceSet& input,
                 }
               }
             } else {
-              // Serial DSD: one progress unit per component graph, the same
-              // granularity the protocol path reports via its verdict
-              // stream. Graphs are built, processed, and folded strictly in
-              // component order, so the family output is bit-identical
-              // whether every graph is materialized first (fault-free
-              // default) or the governor switches to streaming mid-build
-              // (each pending graph drained and dropped as soon as pressure
-              // crosses the threshold).
+              // Serial DSD: build, shingle, fold and free one component
+              // graph at a time, strictly in component order, so at most
+              // one graph is resident. One progress unit per graph, the
+              // granularity the protocol path reports via its verdicts.
               util::telemetry::progress_enqueued(qualifying);
-              std::vector<bigraph::ComponentGraph> pending;
-              util::MemoryCharge pending_charge;
-              bool streaming = false;
-              const auto drain = [&] {
-                for (bigraph::ComponentGraph& graph : pending) {
-                  for (auto& members : shingle_graph(graph)) {
-                    fold_family(graph, std::move(members));
-                  }
-                  util::telemetry::progress_done(1);
-                  util::telemetry::poll_deadline();
-                }
-                pending.clear();
-                pending_charge.reset();
-              };
               for (const auto& component : result.ccd.components) {
                 if (component.size() < config.min_component) continue;
-                pending.push_back(build_graph(component));
-                pending_charge.add("bgg.graphs", graph_bytes(pending.back()));
-                if (!streaming) {
-                  streaming = util::governor().should_stream("bgg+dsd");
+                const bigraph::ComponentGraph graph = build_graph(component);
+                const util::MemoryCharge charge("bgg.graphs",
+                                                graph_bytes(graph));
+                for (auto& members : shingle_graph(graph)) {
+                  fold_family(graph, std::move(members));
                 }
-                if (streaming) drain();
+                util::telemetry::progress_done(1);
+                util::telemetry::poll_deadline();
               }
-              drain();
             }
             const double seconds = timer.elapsed_seconds();
             std::sort(result.families.begin(), result.families.end(),
@@ -945,7 +782,7 @@ PipelineResult run(const seq::SequenceSet& input,
                         }
                         return a.members.front() < b.members.front();
                       });
-            return {seconds};
+            return {seconds, "computed", want_prov};
           },
       .encode =
           [&](util::CheckpointWriter& payload) {
@@ -956,20 +793,15 @@ PipelineResult run(const seq::SequenceSet& input,
               payload.f64(f.density);
             }
           },
-      // DSD evidence is bound to the CCD partition it was derived from.
-      .result_hash = [&] { return components_hash(result.ccd.components); },
       .derive =
           [&] {
-            if (!dsd_captured) {
-              // Families were resumed, so Shingle re-runs per qualifying
-              // component for its merge evidence only; the re-run's
-              // families are discarded.
-              for (const auto& component : result.ccd.components) {
-                if (component.size() < config.min_component) continue;
-                (void)shingle_graph(build_graph(component));
-              }
+            // Families were resumed from a checkpoint without evidence, so
+            // Shingle re-runs per qualifying component for its merge
+            // evidence only; the re-run's families are discarded.
+            for (const auto& component : result.ccd.components) {
+              if (component.size() < config.min_component) continue;
+              (void)shingle_graph(build_graph(component));
             }
-            dsd_evidence.merges = dsd_s1 - dsd_raw;
           },
   });
 
@@ -988,8 +820,7 @@ PipelineResult run(const seq::SequenceSet& input,
     }
     ledger.recount();
     ledger.counts.rr_merges = result.rr.removed_count();
-    ledger.counts.ccd_merges =
-        survivors.size() - result.ccd.components.size();
+    ledger.counts.ccd_merges = ccd_merges();
     ledger.counts.dsd_merges = dsd_evidence.merges;
     if (!ledger.counts.identity_holds()) {
       PCLUST_WARN << "pipeline: provenance merge identity violated (edges "

@@ -635,10 +635,10 @@ bool validate_report(const util::JsonValue& report, std::string* error) {
       for (const util::JsonValue& e : events.array) {
         const std::string& action = e.at("action").as_string();
         if (action != "shrink-grain" && action != "shrink-batch" &&
-            action != "stream" && action != "spill") {
+            action != "spill") {
           return fail(error, "degradation.events: unknown action '" + action +
                                  "' (levers: shrink-grain, shrink-batch, "
-                                 "stream, spill)");
+                                 "spill)");
         }
         const std::string& phase = e.at("phase").as_string();
         if (phase != "rr" && phase != "ccd" && phase != "bgg+dsd" &&

@@ -70,8 +70,8 @@ struct Ledger {
 [[nodiscard]] std::string render_edge(const Edge& edge);
 
 /// Parse one render_edge() line back; throws std::runtime_error on any
-/// malformed input (used by the pipeline's per-phase sidecar files, whose
-/// edge lines share the ledger's format).
+/// malformed input (also reads the evidence section of the pipeline's
+/// phase checkpoints, whose edges share the ledger's format).
 [[nodiscard]] Edge parse_edge(std::string_view line);
 
 /// Render the full ledger (meta line, edges, summary line), newline

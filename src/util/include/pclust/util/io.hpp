@@ -13,7 +13,8 @@
 //     pure function of the plan and the write ordinal, never wall-clock,
 //   * a per-class degradation policy once retries are exhausted:
 //
-//       families, report, spill  -> throw IoError (class+path attributed)
+//       families, report, spill,
+//       provenance               -> throw IoError (class+path attributed)
 //       checkpoint               -> throw IoError; write_checkpoint rolls
 //                                   back to the previous generation and
 //                                   the run continues (checkpointing is
@@ -51,7 +52,7 @@ enum class ArtifactClass : int {
   kTrace,         // trace-event timeline — drop-and-count
   kLog,           // PCLUST_LOG_FILE sink — drop-and-count (stderr remains)
   kSpill,         // memory-governor spill files — throw; caller keeps RAM
-  kProvenance,    // merge-provenance ledgers/sidecars — fatal (an audit
+  kProvenance,    // merge-provenance ledgers — fatal (an audit
                   // artifact the operator asked for; silently losing the
                   // evidence trail would defeat its purpose)
 };

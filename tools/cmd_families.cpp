@@ -139,7 +139,8 @@ int cmd_families(int argc, const char* const* argv) {
   options.define("io-fault", "",
                  "seeded I/O fault plan, comma-separated "
                  "class:kind@N[:sticky] entries (classes families/"
-                 "checkpoint/report/telemetry/trace/log/spill; kinds "
+                 "checkpoint/report/telemetry/trace/log/spill/provenance; "
+                 "kinds "
                  "enospc/eio/short/fsync; N=0 targets stream opens)");
   define_simd_option(options);
   options.parse(argc, argv);

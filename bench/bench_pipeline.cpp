@@ -3,9 +3,13 @@
 // BENCH_pipeline.json. The report path is the same one `pclust families
 // --report-out` uses, so the perf trajectory records real phase times
 // (timing.*), the alignment-work identity, and the full metrics-registry
-// snapshot per PR.
+// snapshot per PR. The pipeline runs three times and the report is the
+// fastest run's: outputs and deterministic counters are identical across
+// runs, and the minimum is the steadiest wall time on a shared host.
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <utility>
 
 #include "common.hpp"
 #include "pclust/pipeline/report.hpp"
@@ -38,11 +42,22 @@ int main() {
     util::telemetry::enable(telemetry);
   }
 
-  util::metrics().reset();
-  const pipeline::PipelineResult result = pipeline::run(data.sequences, config);
-
-  pipeline::write_report("BENCH_pipeline.json", result, config,
-                         {"bench_pipeline", "synth:paper_160k-analog"});
+  constexpr int kRuns = 3;
+  pipeline::PipelineResult result;
+  double fastest = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < kRuns; ++i) {
+    util::metrics().reset();
+    pipeline::PipelineResult run = pipeline::run(data.sequences, config);
+    const double seconds =
+        run.rr_seconds + run.ccd_seconds + run.bgg_dsd_seconds;
+    if (seconds >= fastest) continue;
+    // The report snapshots the metrics registry, so write it before the
+    // next run resets it.
+    fastest = seconds;
+    pipeline::write_report("BENCH_pipeline.json", run, config,
+                           {"bench_pipeline", "synth:paper_160k-analog"});
+    result = std::move(run);
+  }
   if (telemetry_out && *telemetry_out) util::telemetry::disable();
   std::fprintf(stderr, "wrote BENCH_pipeline.json\n");
   std::printf(

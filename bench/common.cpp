@@ -24,7 +24,8 @@ shingle::ShingleParams bench_shingle_params() {
   return params;
 }
 
-RrCcdTimes run_rr_ccd(int paper_k, int p, std::uint64_t seed) {
+RrCcdTimes run_rr_ccd(int paper_k, int p, bool qgram_filter,
+                       std::uint64_t seed) {
   // paper_k thousand paper sequences, scaled: n = paper_k * 1000 * kScale.
   const auto spec = synth::paper_160k(
       static_cast<double>(paper_k) * 1000.0 * kScale / 160'000.0, seed);
@@ -39,6 +40,7 @@ RrCcdTimes run_rr_ccd(int paper_k, int p, std::uint64_t seed) {
   // test tolerates the banded accelerator.
   pace::PaceParams rr_params = params;
   rr_params.band = 0;
+  rr_params.qgram_filter = qgram_filter;
   const auto rr =
       pace::remove_redundant(data.sequences, p, model, rr_params);
   out.rr_seconds = rr.run.makespan;

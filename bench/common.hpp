@@ -50,8 +50,11 @@ struct RrCcdTimes {
 };
 
 /// Run RR then CCD for the paper_160k analog at `paper_k` thousand paper
-/// sequences (scaled by kScale) on p simulated BlueGene/L ranks.
-[[nodiscard]] RrCcdTimes run_rr_ccd(int paper_k, int p,
+/// sequences (scaled by kScale) on p simulated BlueGene/L ranks. The paper
+/// aligned every RR candidate, so its harnesses pass @p qgram_filter =
+/// false (PaceParams::qgram_filter); simulated time is charged by DP cells
+/// and the filter skips most of RR's.
+[[nodiscard]] RrCcdTimes run_rr_ccd(int paper_k, int p, bool qgram_filter,
                                     std::uint64_t seed = 42);
 
 /// Label like "n=10k" using PAPER units for axis compatibility.

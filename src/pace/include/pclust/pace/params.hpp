@@ -72,6 +72,16 @@ struct PaceParams {
   /// 0 = full (exact) dynamic programming.
   std::uint32_t band = 0;
 
+  /// Redundancy removal skips every containment alignment the shared q-gram
+  /// count bound proves will fail (align/qgram.hpp): an exact bound derived
+  /// from `containment`, so removals are unchanged. A skipped alignment
+  /// still counts as attempted, with 0 DP cells, and is published as the
+  /// `rr.qgram_rejected` metric. Simulated RR time is charged by DP cells,
+  /// so the filter also collapses it; only the paper-reproduction benches
+  /// (Table II, Figs. 6-7) turn it off to keep the paper's "RR dominates"
+  /// shape. No CLI flag.
+  bool qgram_filter = true;
+
   /// Definition 1 cutoffs (similarity and contained-sequence coverage).
   align::ContainmentParams containment{};
   /// Definition 2 cutoffs (similarity and longer-sequence coverage).

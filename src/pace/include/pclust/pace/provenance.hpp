@@ -54,6 +54,8 @@ namespace pclust::pace {
 /// Canonical RR evidence: one containment edge per removed sequence, in
 /// ascending removed-id order, each scored by the full-DP (unbanded) local
 /// alignment of (removed, container). Pure function of (set, rr, params).
+/// Never consults PaceParams::qgram_filter: it is one of the filter's
+/// unfiltered oracles.
 [[nodiscard]] std::vector<prov::Edge> derive_rr_provenance(
     const seq::SequenceSet& set, const RedundancyResult& rr,
     const PaceParams& params);

@@ -3,7 +3,9 @@
 // These are the Ω(n²) baselines the paper's filtering is measured against
 // (the "99 % work reduction" claim for the 40 K input). They also serve as
 // ground truth in the property tests: the PaCE heuristics must produce the
-// same connected components whenever ψ admits every true overlap.
+// same connected components whenever ψ admits every true overlap. The
+// sweeps align every pair they visit and ignore PaceParams::qgram_filter:
+// they stay unfiltered oracles for RR's q-gram reject bound.
 #pragma once
 
 #include <cstdint>

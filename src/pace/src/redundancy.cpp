@@ -2,11 +2,13 @@
 
 #include <memory>
 #include <numeric>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "pclust/align/batch.hpp"
 #include "pclust/align/predicates.hpp"
+#include "pclust/align/qgram.hpp"
 #include "pclust/util/metrics.hpp"
 
 namespace pclust::pace {
@@ -77,7 +79,8 @@ class RrWorker final : public WorkerPolicy {
       : set_(set), params_(params) {}
 
   /// Both containment directions of every task go into one SIMD pair
-  /// batch.
+  /// batch, except those the length gate or the q-gram bound already
+  /// proves will fail: their verdict stays "not contained", at 0 cells.
   void evaluate_batch(const PairTask* tasks, std::size_t count,
                       Verdict* verdicts, std::uint64_t* cells) override {
     const std::int64_t band =
@@ -87,17 +90,28 @@ class RrWorker final : public WorkerPolicy {
     std::vector<std::pair<std::size_t, bool>> owner;  // (task, is b-in-a)
     jobs.reserve(2 * count);
     owner.reserve(2 * count);
-    for (std::size_t k = 0; k < count; ++k) {
+    std::uint64_t rejected = 0;
+    const auto queue = [&](std::size_t k, bool flipped) {
       const auto res_a = set_.residues(tasks[k].a);
       const auto res_b = set_.residues(tasks[k].b);
-      if (gate(res_a, res_b)) {
-        jobs.push_back({res_a, res_b, tasks[k].diagonal(), band});
-        owner.emplace_back(k, false);
+      const std::string_view inner = flipped ? res_b : res_a;
+      const std::string_view outer = flipped ? res_a : res_b;
+      if (!gate(inner, outer)) return;
+      if (params_.qgram_filter && align::containment_provably_fails(
+                                      inner, outer, params_.containment)) {
+        ++rejected;
+        return;
       }
-      if (gate(res_b, res_a)) {
-        jobs.push_back({res_b, res_a, -tasks[k].diagonal(), band});
-        owner.emplace_back(k, true);
-      }
+      const std::int64_t diagonal = tasks[k].diagonal();
+      jobs.push_back({inner, outer, flipped ? -diagonal : diagonal, band});
+      owner.emplace_back(k, flipped);
+    };
+    for (std::size_t k = 0; k < count; ++k) {
+      queue(k, false);
+      queue(k, true);
+    }
+    if (params_.qgram_filter) {
+      util::metrics().counter("rr.qgram_rejected").add(rejected);
     }
     std::vector<align::AlignmentResult> results(jobs.size());
     align::align_score_batch(jobs.data(), jobs.size(), params_.scheme(),

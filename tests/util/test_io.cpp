@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,8 +19,9 @@ namespace fs = std::filesystem;
 
 std::string slurp(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
 }
 
 /// The IoEnv is process-global: every test starts fault-free and leaves

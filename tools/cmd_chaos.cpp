@@ -54,7 +54,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -159,6 +159,13 @@ bool report_validates(const pipeline::PipelineResult& result,
     return false;
   }
   return true;
+}
+
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
 }
 
 void truncate_file(const std::filesystem::path& path, double keep_fraction) {
@@ -608,20 +615,12 @@ int cmd_chaos(int argc, const char* const* argv) {
           bool whole = true;
           std::string defect;
           if (is_report) {
-            std::ifstream in(out, std::ios::binary);
-            const std::string doc((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-            whole = pipeline::validate_report(util::parse_json(doc), &defect);
+            whole = pipeline::validate_report(util::parse_json(slurp(out)),
+                                              &defect);
           } else {
             const std::filesystem::path clean = out.string() + ".clean";
             write_artifact(clean);
-            std::ifstream a(out, std::ios::binary);
-            std::ifstream b(clean, std::ios::binary);
-            const std::string bytes_a((std::istreambuf_iterator<char>(a)),
-                                      std::istreambuf_iterator<char>());
-            const std::string bytes_b((std::istreambuf_iterator<char>(b)),
-                                      std::istreambuf_iterator<char>());
-            whole = bytes_a == bytes_b;
+            whole = slurp(out) == slurp(clean);
             defect = "healed artifact differs from a clean write";
           }
           if (retries == 0) {
